@@ -1,15 +1,21 @@
 """n-ary brackets on polynomial algebras and identity verification.
 
-Two bracket constructions are provided:
+Both bracket constructions are sums of n x n minors of the arguments,
+sum over keys I of det(df_a/dx_{I_b}) * c_I, and share one kernel that
+evaluates that sum over a precomputed list of nonzero coefficients:
 
 * JacobianBracket: the n-ary bracket on K[x_1..x_{n+1}] given by the
   Jacobian determinant {f_1,...,f_n} = det d(f_1,...,f_n,C)/dx with a
-  fixed last row polynomial C.
+  fixed last row polynomial C.  Laplace expansion along the C row gives
+  c_I = (-1)^(n+k) dC/dx_k for I = all indices but k (0-based k).
 
 * TableBracket: the unique extension of a structure-constant table on
-  generators to a multiderivation of the polynomial algebra,
-  {f_1,...,f_n} = sum over increasing index tuples of
-  det(df_a/de_{i_b}) * [e_{i_1},...,e_{i_n}].
+  generators to a multiderivation of the polynomial algebra; c_I is the
+  product [e_{i_1},...,e_{i_n}] on each increasing index tuple I.
+
+`jacobian` takes the full determinant without the kernel and is the
+independent reference for it; the property tests in tests/test_brackets.py
+compare both brackets against it and `jacobian` against sympy.
 
 Identity verifiers run a deterministic generator-tuple phase (complete
 for multilinear alternating identities) plus a seeded random-polynomial
@@ -23,7 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import Monomial, Polynomial, VarContext
 
@@ -34,19 +40,37 @@ class ArityMismatch(ValueError):
     """Raised when a bracket receives the wrong number of arguments."""
 
 
-def poly_det(rows: Sequence[Sequence[Polynomial]], ctx: VarContext) -> Polynomial:
-    """Determinant of a square matrix of polynomials.
+def poly_det(rows: Sequence[Sequence[Polynomial]], ctx: VarContext,
+             cols: Optional[Tuple[int, ...]] = None,
+             memo: Optional[Dict[Tuple[int, ...], Polynomial]] = None) -> Polynomial:
+    """Determinant of a square matrix of polynomials, or of one minor.
 
-    Laplace expansion along rows with memoization on the surviving
-    column set; fine for the small matrices brackets produce.
+    With `cols`, the determinant of the columns `cols` of the n-row
+    matrix `rows`.  1x1 and 2x2 matrices are computed directly; larger
+    ones by Laplace expansion along rows with memoization on the
+    surviving column set.  Minors of the same rows may share one `memo`,
+    so that the sub-minors they have in common are computed once.
     """
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
+    if cols is None:
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("determinant of a non-square matrix")
+        cols = tuple(range(n))
+    elif len(cols) != n:
+        raise ValueError("determinant of a non-square minor")
     if n == 0:
         return ctx.one()
-    memo: Dict[Tuple[int, ...], Polynomial] = {}
+    if n == 1:
+        return rows[0][cols[0]]
+    if n == 2:
+        i, j = cols
+        a, b = rows[0][i], rows[0][j]
+        c, d = rows[1][i], rows[1][j]
+        det = a * d if a and d else ctx.zero()
+        return det - b * c if b and c else det
+    if memo is None:
+        memo = {}
 
     def rec(cols: Tuple[int, ...]) -> Polynomial:
         r = n - len(cols)
@@ -65,11 +89,15 @@ def poly_det(rows: Sequence[Sequence[Polynomial]], ctx: VarContext) -> Polynomia
         memo[cols] = acc
         return acc
 
-    return rec(tuple(range(n)))
+    return rec(cols)
 
 
 def jacobian(fs: Sequence[Polynomial]) -> Polynomial:
-    """Jacobian determinant of nvars polynomials in their context."""
+    """Jacobian determinant of nvars polynomials in their context.
+
+    The full determinant, independent of the minor expansion the bracket
+    classes use; tests compare the two.
+    """
     if not fs:
         raise ValueError("jacobian of an empty family")
     ctx = fs[0].ctx
@@ -83,11 +111,60 @@ def jacobian(fs: Sequence[Polynomial]) -> Polynomial:
     return poly_det(rows, ctx)
 
 
+def _minor_expansion(fs: Sequence[Polynomial],
+                     coeffs: Iterable[Tuple[Tuple[int, ...], Polynomial]],
+                     ctx: VarContext) -> Polynomial:
+    """Sum of det(df_a/dx_{I_b}) * c_I over the (I, c_I) pairs in coeffs.
+
+    Partials are taken only in the variables each argument uses, and a
+    key I is skipped when some argument uses none of its variables,
+    since that minor has a zero row.
+    """
+    grads = [{j: f.partial(j) for j in f.variables_used()} for f in fs]
+    zero = ctx.zero()
+    rows = [[grad.get(j, zero) for j in range(ctx.nvars)] for grad in grads]
+    memo: Dict[Tuple[int, ...], Polynomial] = {}
+    acc = zero
+    for idxs, coeff in coeffs:
+        if any(grad.keys().isdisjoint(idxs) for grad in grads):
+            continue
+        minor = poly_det(rows, ctx, idxs, memo)
+        if minor:
+            acc = acc + minor * coeff
+    return acc
+
+
+def _check_args(bracket, fs: Sequence[Polynomial]) -> None:
+    if len(fs) != bracket.arity:
+        raise ArityMismatch(f"bracket takes {bracket.arity} arguments, got {len(fs)}")
+    ctx = bracket.ctx
+    for f in fs:
+        if f.ctx != ctx:
+            raise ValueError("bracket argument from the wrong context")
+
+
 @dataclass(frozen=True)
 class JacobianBracket:
-    """n-ary Jacobian bracket {f_1..f_n} = J(f_1,...,f_n,C) on n+1 variables."""
+    """n-ary Jacobian bracket {f_1..f_n} = J(f_1,...,f_n,C) on n+1 variables.
+
+    Expanding the determinant along the C row gives a sum of n x n
+    minors of the arguments with coefficients (-1)^(n+k) dC/dx_k (0-based
+    k) on the key of all indices but k; those are computed once here.
+    """
 
     casimir: Polynomial
+    _coeffs: Tuple[Tuple[Tuple[int, ...], Polynomial], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, nv = self.arity, self.ctx.nvars
+        coeffs = []
+        for k in range(nv):
+            dc = self.casimir.partial(k)
+            if dc:
+                key = tuple(j for j in range(nv) if j != k)
+                coeffs.append((key, dc if (n + k) % 2 == 0 else -dc))
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
 
     @property
     def ctx(self) -> VarContext:
@@ -98,19 +175,16 @@ class JacobianBracket:
         return self.ctx.nvars - 1
 
     def __call__(self, *fs: Polynomial) -> Polynomial:
-        if len(fs) != self.arity:
-            raise ArityMismatch(f"bracket takes {self.arity} arguments, got {len(fs)}")
-        for f in fs:
-            if f.ctx != self.ctx:
-                raise ValueError("bracket argument from the wrong context")
-        return jacobian(list(fs) + [self.casimir])
+        _check_args(self, fs)
+        return _minor_expansion(fs, self._coeffs, self.ctx)
 
 
 @dataclass(frozen=True)
 class TableBracket:
     """Multiderivation extension of a structure-constant table.
 
-    `table` provides .ctx, .arity and .entry(increasing index tuple).
+    `table` provides .ctx, .arity and .constants, a map from strictly
+    increasing index tuples to their nonzero products.
     """
 
     table: object
@@ -124,28 +198,8 @@ class TableBracket:
         return self.table.arity
 
     def __call__(self, *fs: Polynomial) -> Polynomial:
-        n = self.arity
-        if len(fs) != n:
-            raise ArityMismatch(f"bracket takes {n} arguments, got {len(fs)}")
-        ctx = self.ctx
-        for f in fs:
-            if f.ctx != ctx:
-                raise ValueError("bracket argument from the wrong context")
-        nv = ctx.nvars
-        partials = [[f.partial(j) for j in range(nv)] for f in fs]
-        acc = ctx.zero()
-        for idxs in itertools.combinations(range(nv), n):
-            const = self.table.entry(idxs)
-            if const.is_zero():
-                continue
-            rows = [[partials[a][j] for j in idxs] for a in range(n)]
-            minor = poly_det(rows, ctx)
-            if not minor.is_zero():
-                acc = acc + minor * const
-        return acc
-
-
-Bracket = object  # either JacobianBracket or TableBracket; both are callable
+        _check_args(self, fs)
+        return _minor_expansion(fs, self.table.constants.items(), self.ctx)
 
 
 def ternary_jacobian(bracket, a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:

@@ -191,9 +191,14 @@ def cmd_bracket(ns) -> Report:
 
 
 def cmd_verify(ns) -> Report:
+    if ns.trials < 0:
+        raise UsageError(f"--trials must be non-negative, got {ns.trials}")
     bracket, spec, label = _resolve_bracket(ns)
     verifier = brackets.VERIFIERS[ns.identity]
     report = verifier(bracket, trials=ns.trials, seed=ns.seed)
+    if report.trials == 0:
+        raise UsageError(f"{ns.identity} on {label} made no checks; "
+                         "a verdict needs --trials of at least 1")
     data = dict(report.to_dict(), algebra=label, seed=ns.seed)
     lines = [f"{_status(report.passed)} {ns.identity} on {label}: "
              f"{report.trials} checks, {report.failure_count} failures"]
@@ -295,6 +300,8 @@ def cmd_minroot(ns) -> Report:
 
 
 def cmd_center(ns) -> Report:
+    if ns.degree is not None and ns.degree < 0:
+        raise UsageError(f"--degree must be non-negative, got {ns.degree}")
     bracket, spec, label = _resolve_bracket(ns)
     qctx = None
     if ns.quotient:

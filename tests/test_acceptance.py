@@ -6,6 +6,7 @@ nlie.suite so the gate exercises exactly what `nlie paper-suite` runs;
 criterion 9 drives the installed CLI end to end.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -19,6 +20,19 @@ from nlie import suite
 
 SCHEMA = json.loads(
     (Path(nlie.__file__).parent / "schemas" / "report.schema.json").read_text())
+
+# Digest of the seed-0 paper-suite report recorded by the benchmark.
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text())
+
+
+def report_digest(doc):
+    """sha256 of a CLI JSON report with every item's `seconds` removed."""
+    data = dict(doc["data"])
+    data["items"] = [{k: v for k, v in item.items() if k != "seconds"}
+                     for item in data["items"]]
+    text = json.dumps(dict(doc, data=data), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_battery(n, label, items, bound, per_item_bound=None):
@@ -96,3 +110,5 @@ def test_criterion_9_cli_contract():
     assert proc.returncode == 0
     assert doc["ok"] is True and doc["data"]["failed"] == 0
     assert doc["data"]["seed"] == 0
+    # byte-identical apart from `seconds`
+    assert report_digest(doc) == EXPECTED["paper-suite"]["0"]

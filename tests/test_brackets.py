@@ -1,16 +1,25 @@
-"""Jacobian and table brackets plus the identity verifiers."""
+"""Jacobian and table brackets plus the identity verifiers.
+
+Both bracket classes evaluate one minor expansion; the property tests at
+the end check it against the full determinant `jacobian`, and that
+against sympy, so the reference does not share the code it checks.
+"""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlie.brackets import (ArityMismatch, JacobianBracket, ternary_jacobian,
                            jacobian, poly_det, random_homogeneous,
                            random_polynomial, verify_filippov, verify_leibniz,
                            verify_malcev, verify_skew, verify_strong)
 from nlie.parser import parse_polynomial
-from nlie.poly import context
-from nlie.structures import (make_elliptic, make_malcev_splittable,
+from nlie.poly import Polynomial, VarContext, context
+from nlie.structures import (make_elliptic, make_malcev_splittable, make_nlie,
                              make_quadric, make_sl2)
 
 
@@ -141,3 +150,70 @@ def test_report_trial_accounting():
     report = verify_skew(make_sl2().bracket, trials=10, seed=1)
     assert report.trials >= 10
     assert report.failure_count == 0 and report.failures == []
+
+
+# -- property tests against independent references -------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+_coeffs = st.integers(-6, 6).filter(bool)
+
+
+def _ctx(nvars):
+    return VarContext(tuple(f"x{i}" for i in range(nvars)))
+
+
+@st.composite
+def polynomials(draw, ctx, max_exp=2, max_terms=4):
+    """Sparse nonzero polynomials; about one draw in five is a constant."""
+    if draw(st.integers(0, 4)) == 0:
+        return ctx.constant(draw(st.integers(-6, 6)))
+    monos = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
+    return Polynomial(ctx, draw(st.dictionaries(monos, _coeffs, min_size=1,
+                                                max_size=max_terms)))
+
+
+def _to_sympy(p, syms):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[s ** e for s, e in zip(syms, mono)])
+                for mono, c in p.terms.items()), sympy.Integer(0))
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda n: st.tuples(*[polynomials(_ctx(n + 1))] * (n + 1))))
+def test_jacobian_bracket_matches_full_determinant(polys):
+    *fs, casimir = polys
+    assert JacobianBracket(casimir)(*fs) == jacobian(list(fs) + [casimir])
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(
+    lambda nv: st.lists(polynomials(_ctx(nv)), min_size=nv, max_size=nv)))
+def test_jacobian_matches_sympy_det(fs):
+    syms = sympy.symbols(fs[0].ctx.names)
+    exprs = [_to_sympy(f, syms) for f in fs]
+    expected = sympy.Matrix([[sympy.diff(e, s) for s in syms]
+                             for e in exprs]).det()
+    assert sympy.expand(expected - _to_sympy(jacobian(fs), syms)) == 0
+
+
+@st.composite
+def quadratic_forms(draw):
+    ctx = _ctx(draw(st.integers(3, 4)))
+    n = ctx.nvars
+    monos = [tuple(int(k == i) + int(k == j) for k in range(n))
+             for i in range(n) for j in range(i, n)]
+    terms = draw(st.lists(st.integers(-4, 4), min_size=len(monos),
+                          max_size=len(monos)).filter(any))
+    return Polynomial(ctx, dict(zip(monos, map(Fraction, terms))))
+
+
+@PROPERTY
+@given(quadratic_forms().flatmap(lambda form: st.tuples(
+    st.just(form),
+    st.lists(polynomials(form.ctx), min_size=form.ctx.nvars - 1,
+             max_size=form.ctx.nvars - 1))))
+def test_nlie_table_agrees_with_jacobian_on_random_forms(case):
+    form, fs = case
+    assert make_nlie(form).table_bracket()(*fs) == JacobianBracket(form)(*fs)

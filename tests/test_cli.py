@@ -84,6 +84,25 @@ def test_verify_pass_and_fail(capsys):
     assert code == 1 and "FAIL" in out  # same verdict in text mode
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_checks_exits_2(capsys, trials):
+    # leibniz has no generator phase, so these runs would rest on 0 checks
+    code, out, err = run(capsys, "verify", "--algebra", "sl2",
+                         "--identity", "leibniz", "--trials", trials)
+    assert code == 2 and "PASS" not in out and "usage error" in err
+
+
+def test_verify_zero_trials_keeps_generator_phase(capsys):
+    code, doc = run_json(capsys, "verify", "--algebra", "sl2",
+                         "--identity", "skew", "--trials", "0")
+    assert code == 0 and doc["data"]["trials"] > 0
+
+
+def test_center_negative_degree_exits_2(capsys):
+    code, out, err = run(capsys, "center", "--algebra", "sl2", "--degree", "-1")
+    assert code == 2 and out == "" and "--degree" in err
+
+
 def test_verify_malcev_passes_where_filippov_fails(capsys):
     code, _, _ = run(capsys, "verify", "--algebra", "malcev-splittable",
                      "--identity", "malcev", "--trials", "8")
