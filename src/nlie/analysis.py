@@ -95,8 +95,13 @@ def jacobian_dependence(fs: Sequence[Polynomial]) -> bool:
 def rational_nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Basis of the right nullspace of a rational matrix.
 
-    Basis vectors have their first nonzero entry equal to 1 and come out
-    in increasing free-column order, so the result is deterministic.
+    Each basis vector has 1 in its own free column and 0 in the other
+    free columns; vectors come out in increasing free-column order, so
+    the result is deterministic.
+
+    This is the package's one exact rational elimination: ranks and Gram
+    nondegeneracy elsewhere are read off its length.  Row updates skip
+    the zero entries of the pivot row, which dominate sparse systems.
     """
     m = [row[:] for row in rows]
     nrows = len(m)
@@ -112,7 +117,7 @@ def rational_nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Frac
         for i in range(nrows):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -246,28 +251,6 @@ def _divisors_desc(n: int) -> List[int]:
 
 
 @dataclass(frozen=True)
-class ClosednessReport:
-    closed: bool
-    witness_k: Optional[int] = None
-    witness_root: Optional[Polynomial] = None
-
-
-def is_closed_homogeneous(c_poly: Polynomial) -> ClosednessReport:
-    """Closed = not a proper power.  Witness is the smallest-degree root.
-
-    Divisors of deg C are tried from the largest down, so the first hit
-    is the smallest root; degree-one polynomials are closed outright.
-    """
-    if c_poly.is_zero() or not c_poly.is_homogeneous():
-        raise NotHomogeneous("closedness needs a nonzero homogeneous polynomial")
-    for k in _divisors_desc(c_poly.total_degree()):
-        res = kth_root(c_poly, k)
-        if res.found:
-            return ClosednessReport(False, k, res.root)
-    return ClosednessReport(True)
-
-
-@dataclass(frozen=True)
 class MinimalRoot:
     root: Polynomial
     k: int
@@ -291,6 +274,27 @@ def minimal_root_homogeneous(c_poly: Polynomial,
             return MinimalRoot(res.root, k, res.alpha, was_closed=False)
     lc = order.leading_coefficient(c_poly)
     return MinimalRoot(c_poly / lc, 1, lc, was_closed=True)
+
+
+@dataclass(frozen=True)
+class ClosednessReport:
+    closed: bool
+    witness_k: Optional[int] = None
+    witness_root: Optional[Polynomial] = None
+
+
+def is_closed_homogeneous(c_poly: Polynomial) -> ClosednessReport:
+    """Closed = not a proper power.  Witness is the smallest-degree root.
+
+    Read off minimal_root_homogeneous: the witness is its root and k,
+    and degree-one polynomials are closed outright.
+    """
+    if c_poly.is_zero() or not c_poly.is_homogeneous():
+        raise NotHomogeneous("closedness needs a nonzero homogeneous polynomial")
+    mr = minimal_root_homogeneous(c_poly)
+    if mr.was_closed:
+        return ClosednessReport(True)
+    return ClosednessReport(False, mr.k, mr.root)
 
 
 # -- center criteria ------------------------------------------------------
@@ -463,8 +467,9 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
     increasing (n-1)-tuple of generators; nonzero normal forms join the
     ideal and the Groebner basis is recomputed.  Stops with verdict
     "whole-ring" once 1 appears, "proper-stable" once a full round adds
-    nothing (confirmed by one further round), or "budget-exhausted" when
-    the round or step budget runs out.
+    nothing (a round is deterministic in the basis, so a repeat of an
+    empty round would be empty too), or "budget-exhausted" when the round
+    or step budget runs out.
 
     Raises:
         QuotientError via ValueError: if every seed is 0 in the quotient.
@@ -486,7 +491,6 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
     current: List[Polynomial] = list(seeds) + [qctx.casimir - qctx.lam]
     try:
         basis = buchberger(current, qctx.order, budget)
-        empty_rounds = 0
         while len(report.rounds) < max_rounds:
             if basis.contains_one:
                 report.verdict = "whole-ring"
@@ -506,12 +510,8 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
             report.rounds.append({"basis_size": len(basis),
                                   "new_elements": len(fresh)})
             if not fresh:
-                empty_rounds += 1
-                if empty_rounds >= 2:  # stability re-verified once
-                    report.verdict = "proper-stable"
-                    break
-                continue
-            empty_rounds = 0
+                report.verdict = "proper-stable"
+                break
             basis = buchberger(list(basis.generators) + fresh, qctx.order, budget)
         report.final_basis = basis.generators
     except BudgetExhausted:

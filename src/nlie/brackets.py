@@ -17,10 +17,14 @@ evaluates that sum over a precomputed list of nonzero coefficients:
 independent reference for it; the property tests in tests/test_brackets.py
 compare both brackets against it and `jacobian` against sympy.
 
-Identity verifiers run a deterministic generator-tuple phase (complete
-for multilinear alternating identities) plus a seeded random-polynomial
-phase, and return IdentityReport records either way; a report with
-failures is a finding, not an exception.
+Every identity verifier, and QuotientContext.verify_grading, runs
+through one driver, `_run_checks`: a deterministic generator-tuple phase
+(complete for multilinear alternating identities), then seeded random
+trials drawn from one random.Random(seed).  A verifier supplies only the
+checks, each a (defect, inputs, note) triple; Filippov and strong share
+`_two_block_checks` for their u and v argument blocks.  The driver
+returns an IdentityReport either way; a report with failures is a
+finding, not an exception.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import Monomial, Polynomial, VarContext
 
@@ -213,54 +217,38 @@ def ternary_jacobian(bracket, a: Polynomial, b: Polynomial, c: Polynomial) -> Po
 
 # -- random inputs ------------------------------------------------------
 
-def random_polynomial(rng: random.Random, ctx: VarContext, max_degree: int = 3,
-                      coeff_bound: int = 9, max_terms: int = 4,
-                      nonzero: bool = True) -> Polynomial:
-    """Sparse random polynomial with small integer coefficients.
+def _random_sparse(rng: random.Random, ctx: VarContext, draw_degree: Callable[[], int],
+                   coeff_bound: int, max_terms: int) -> Polynomial:
+    """Nonzero sparse polynomial; each term's degree comes from draw_degree().
 
-    Degrees are drawn uniformly from 0..max_degree per term; coefficients
-    from [-coeff_bound, coeff_bound] excluding 0.  Deterministic given the
-    rng state.
+    Coefficients are drawn from [-coeff_bound, coeff_bound] excluding 0
+    and a repeated monomial keeps its first coefficient, so the result
+    is never zero.  Deterministic given the rng state.
     """
-    for _ in range(50):
-        terms: Dict[Monomial, Fraction] = {}
-        for _ in range(rng.randint(1, max_terms)):
-            d = rng.randint(0, max_degree)
-            mono = [0] * ctx.nvars
-            for _ in range(d):
-                mono[rng.randrange(ctx.nvars)] += 1
-            c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-            key = tuple(mono)
-            if key in terms:
-                continue
-            terms[key] = Fraction(c)
-        p = Polynomial(ctx, terms)
-        if not (nonzero and p.is_zero()):
-            return p
-    raise RuntimeError("could not generate a nonzero random polynomial")
+    terms: Dict[Monomial, Fraction] = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * ctx.nvars
+        for _ in range(draw_degree()):
+            mono[rng.randrange(ctx.nvars)] += 1
+        c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+        terms.setdefault(tuple(mono), Fraction(c))
+    return Polynomial(ctx, terms)
+
+
+def random_polynomial(rng: random.Random, ctx: VarContext, max_degree: int = 3,
+                      coeff_bound: int = 9, max_terms: int = 4) -> Polynomial:
+    """Nonzero random polynomial, term degrees uniform in 0..max_degree."""
+    return _random_sparse(rng, ctx, lambda: rng.randint(0, max_degree),
+                          coeff_bound, max_terms)
 
 
 def random_homogeneous(rng: random.Random, ctx: VarContext, degree: int,
                        coeff_bound: int = 9, max_terms: int = 4) -> Polynomial:
     """Nonzero random homogeneous polynomial of exact total degree."""
-    for _ in range(50):
-        terms: Dict[Monomial, Fraction] = {}
-        for _ in range(rng.randint(1, max_terms)):
-            mono = [0] * ctx.nvars
-            for _ in range(degree):
-                mono[rng.randrange(ctx.nvars)] += 1
-            c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-            key = tuple(mono)
-            if key in terms:
-                continue
-            terms[key] = Fraction(c)
-        p = Polynomial(ctx, terms)
-        if not p.is_zero():
-            return p
-    raise RuntimeError("could not generate a nonzero homogeneous polynomial")
+    return _random_sparse(rng, ctx, lambda: degree, coeff_bound, max_terms)
 
 
-# -- reports ------------------------------------------------------------
+# -- identity checks ----------------------------------------------------
 
 @dataclass
 class IdentityReport:
@@ -287,72 +275,77 @@ class IdentityReport:
         }
 
 
-class _Recorder:
-    def __init__(self, identity: str, arity: int):
-        self.identity = identity
-        self.arity = arity
-        self.trials = 0
-        self.failure_count = 0
-        self.failures: List[dict] = []
+# One check: the defect (zero when the identity holds), the inputs it was
+# computed from, and a note for the failure record ("" for none).
+_Check = Tuple[Polynomial, Sequence[Polynomial], str]
 
-    def check(self, defect: Polynomial, inputs: Sequence[Polynomial], note: str = "") -> None:
-        self.trials += 1
+
+def _run_checks(identity: str, arity: int, generated: Iterable[_Check],
+                draw: Callable[[random.Random], Iterable[_Check]],
+                trials: int, seed: int) -> IdentityReport:
+    """The one identity-check driver behind every verifier.
+
+    Runs the deterministic `generated` checks, then `trials` seeded
+    trials, each yielding the checks of draw(rng) for one shared
+    random.Random(seed).  Every check counts as a trial of the report;
+    the first MAX_STORED_FAILURES nonzero defects are kept.
+    """
+    report = IdentityReport(identity, arity, 0, 0)
+    rng = random.Random(seed)
+    drawn = itertools.chain.from_iterable(draw(rng) for _ in range(trials))
+    for defect, inputs, note in itertools.chain(generated, drawn):
+        report.trials += 1
         if defect.is_zero():
-            return
-        self.failure_count += 1
-        if len(self.failures) < MAX_STORED_FAILURES:
+            continue
+        report.failure_count += 1
+        if len(report.failures) < MAX_STORED_FAILURES:
             entry = {"inputs": [str(p) for p in inputs], "defect": str(defect)}
             if note:
                 entry["note"] = note
-            self.failures.append(entry)
-
-    def report(self) -> IdentityReport:
-        return IdentityReport(self.identity, self.arity, self.trials,
-                              self.failure_count, self.failures)
+            report.failures.append(entry)
+    return report
 
 
-def _random_tuple(rng, ctx, k, max_degree, coeff_bound):
-    return tuple(random_polynomial(rng, ctx, max_degree, coeff_bound) for _ in range(k))
+def _random_tuple(rng: random.Random, ctx: VarContext, k: int) -> Tuple[Polynomial, ...]:
+    return tuple(random_polynomial(rng, ctx) for _ in range(k))
 
 
-def verify_skew(bracket, trials: int = 100, seed: int = 0, max_degree: int = 3,
-                coeff_bound: int = 9) -> IdentityReport:
+def verify_skew(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Alternation: repeated arguments kill the bracket, transpositions flip sign."""
     n, ctx = bracket.arity, bracket.ctx
-    rec = _Recorder("skew", n)
     gens = ctx.gens()
-    # generator phase: every duplication of an (n-1)-subset
-    if n >= 2:
+
+    def generated():
+        # every duplication of an (n-1)-subset; none at arity 1
         for base in itertools.combinations(range(ctx.nvars), n - 1):
             for dup in base:
                 args = [gens[i] for i in base] + [gens[dup]]
-                rec.check(bracket(*args), args, note="duplicate generator")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        fs = _random_tuple(rng, ctx, n, max_degree, coeff_bound)
-        if n >= 2:
-            a, b = rng.sample(range(n), 2)
-            swapped = list(fs)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            rec.check(bracket(*fs) + bracket(*swapped), fs, note=f"swap {a},{b}")
-            dup = list(fs)
-            dup[b] = dup[a]
-            rec.check(bracket(*dup), dup, note="duplicate slot")
-        else:
-            rec.check(ctx.zero(), fs, note="arity 1, nothing to swap")
-    return rec.report()
+                yield bracket(*args), args, "duplicate generator"
+
+    def draw(rng):
+        fs = _random_tuple(rng, ctx, n)
+        if n < 2:
+            yield ctx.zero(), fs, "arity 1, nothing to swap"
+            return
+        a, b = rng.sample(range(n), 2)
+        swapped = list(fs)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        yield bracket(*fs) + bracket(*swapped), fs, f"swap {a},{b}"
+        dup = list(fs)
+        dup[b] = dup[a]
+        yield bracket(*dup), dup, "duplicate slot"
+
+    return _run_checks("skew", n, generated(), draw, trials, seed)
 
 
-def verify_leibniz(bracket, trials: int = 100, seed: int = 0, max_degree: int = 3,
-                   coeff_bound: int = 9) -> IdentityReport:
+def verify_leibniz(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Derivation in each slot: {..., g*h, ...} = g{...,h,...} + {...,g,...}h."""
     n, ctx = bracket.arity, bracket.ctx
-    rec = _Recorder("leibniz", n)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        fs = list(_random_tuple(rng, ctx, n, max_degree, coeff_bound))
-        g = random_polynomial(rng, ctx, max_degree, coeff_bound)
-        h = random_polynomial(rng, ctx, max_degree, coeff_bound)
+
+    def draw(rng):
+        fs = list(_random_tuple(rng, ctx, n))
+        g = random_polynomial(rng, ctx)
+        h = random_polynomial(rng, ctx)
         slot = rng.randrange(n)
         with_prod = list(fs)
         with_prod[slot] = g * h
@@ -361,8 +354,34 @@ def verify_leibniz(bracket, trials: int = 100, seed: int = 0, max_degree: int = 
         with_h = list(fs)
         with_h[slot] = h
         defect = bracket(*with_prod) - g * bracket(*with_h) - bracket(*with_g) * h
-        rec.check(defect, [g, h] + fs, note=f"slot {slot}")
-    return rec.report()
+        yield defect, [g, h] + fs, f"slot {slot}"
+
+    return _run_checks("leibniz", n, (), draw, trials, seed)
+
+
+def _two_block_checks(identity: str, bracket, defect, nu: int, nv: int,
+                      trials: int, seed: int) -> IdentityReport:
+    """Checks of an identity in a u block of nu and a v block of nv arguments.
+
+    The generator phase takes every increasing index tuple for each
+    block; each random trial draws the u block, then the v block.
+    """
+    ctx = bracket.ctx
+    gens = ctx.gens()
+
+    def generated():
+        for ui in itertools.combinations(range(ctx.nvars), nu):
+            for vi in itertools.combinations(range(ctx.nvars), nv):
+                us = [gens[i] for i in ui]
+                vs = [gens[i] for i in vi]
+                yield defect(bracket, us, vs), us + vs, "generator tuple"
+
+    def draw(rng):
+        us = _random_tuple(rng, ctx, nu)
+        vs = _random_tuple(rng, ctx, nv)
+        yield defect(bracket, us, vs), us + vs, ""
+
+    return _run_checks(identity, bracket.arity, generated(), draw, trials, seed)
 
 
 def _filippov_defect(bracket, us, vs) -> Polynomial:
@@ -377,30 +396,16 @@ def _filippov_defect(bracket, us, vs) -> Polynomial:
     return lhs - rhs
 
 
-def verify_filippov(bracket, trials: int = 100, seed: int = 0, max_degree: int = 3,
-                    coeff_bound: int = 9, generator_phase: bool = True) -> IdentityReport:
+def verify_filippov(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Fundamental identity: [[u_1..u_n],v_..] = sum_i [u_1..[u_i,v_..]..u_n].
 
     The generator phase over increasing index tuples is complete for the
     degree-one part (the identity is multilinear and alternating in the
     u block and in the v block); random trials probe the full algebra.
     """
-    n, ctx = bracket.arity, bracket.ctx
-    rec = _Recorder("filippov", n)
-    gens = ctx.gens()
-    if generator_phase:
-        for ui in itertools.combinations(range(ctx.nvars), n):
-            for vi in itertools.combinations(range(ctx.nvars), n - 1):
-                us = [gens[i] for i in ui]
-                vs = [gens[i] for i in vi]
-                rec.check(_filippov_defect(bracket, us, vs), us + vs,
-                          note="generator tuple")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        us = _random_tuple(rng, ctx, n, max_degree, coeff_bound)
-        vs = _random_tuple(rng, ctx, n - 1, max_degree, coeff_bound)
-        rec.check(_filippov_defect(bracket, us, vs), list(us) + list(vs))
-    return rec.report()
+    n = bracket.arity
+    return _two_block_checks("filippov", bracket, _filippov_defect, n, n - 1,
+                             trials, seed)
 
 
 def _strong_defect(bracket, us, vs) -> Polynomial:
@@ -415,8 +420,7 @@ def _strong_defect(bracket, us, vs) -> Polynomial:
     return acc
 
 
-def verify_strong(bracket, trials: int = 100, seed: int = 0, max_degree: int = 3,
-                  coeff_bound: int = 9, generator_phase: bool = True) -> IdentityReport:
+def verify_strong(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Alternating sum of products of brackets over n+1 distinguished arguments.
 
     With u = (u_1..u_{n-1}) and v = (v_1..v_{n+1}):
@@ -425,26 +429,12 @@ def verify_strong(bracket, trials: int = 100, seed: int = 0, max_degree: int = 3
     Each slot of the sum is a derivation, so the generator phase over
     increasing tuples is complete; random trials cross-check.
     """
-    n, ctx = bracket.arity, bracket.ctx
-    rec = _Recorder("strong", n)
-    gens = ctx.gens()
-    if generator_phase:
-        for ui in itertools.combinations(range(ctx.nvars), n - 1):
-            for vi in itertools.combinations(range(ctx.nvars), n + 1):
-                us = tuple(gens[i] for i in ui)
-                vs = tuple(gens[i] for i in vi)
-                rec.check(_strong_defect(bracket, us, vs), list(us) + list(vs),
-                          note="generator tuple")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        us = _random_tuple(rng, ctx, n - 1, max_degree, coeff_bound)
-        vs = _random_tuple(rng, ctx, n + 1, max_degree, coeff_bound)
-        rec.check(_strong_defect(bracket, us, vs), list(us) + list(vs))
-    return rec.report()
+    n = bracket.arity
+    return _two_block_checks("strong", bracket, _strong_defect, n - 1, n + 1,
+                             trials, seed)
 
 
-def verify_malcev(bracket, trials: int = 100, seed: int = 0,
-                  coeff_bound: int = 9) -> IdentityReport:
+def verify_malcev(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Malcev identity [J(a,b,c),a] = J(a,b,[a,c]) for a binary bracket.
 
     Checked on all generator triples and on random degree-one elements
@@ -453,22 +443,19 @@ def verify_malcev(bracket, trials: int = 100, seed: int = 0,
     if bracket.arity != 2:
         raise ArityMismatch("Malcev identity needs a binary bracket")
     ctx = bracket.ctx
-    rec = _Recorder("malcev", 2)
 
     def defect(a, b, c):
         return (bracket(ternary_jacobian(bracket, a, b, c), a)
                 - ternary_jacobian(bracket, a, b, bracket(a, c)))
 
-    gens = ctx.gens()
-    for a, b, c in itertools.product(gens, repeat=3):
-        rec.check(defect(a, b, c), (a, b, c), note="generator triple")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        a = random_polynomial(rng, ctx, 1, coeff_bound)
-        b = random_polynomial(rng, ctx, 1, coeff_bound)
-        c = random_polynomial(rng, ctx, 1, coeff_bound)
-        rec.check(defect(a, b, c), (a, b, c))
-    return rec.report()
+    generated = ((defect(*abc), abc, "generator triple")
+                 for abc in itertools.product(ctx.gens(), repeat=3))
+
+    def draw(rng):
+        abc = tuple(random_polynomial(rng, ctx, max_degree=1) for _ in range(3))
+        yield defect(*abc), abc, ""
+
+    return _run_checks("malcev", 2, generated, draw, trials, seed)
 
 
 VERIFIERS = {

@@ -126,22 +126,12 @@ class Report:
 
 # -- command handlers ------------------------------------------------------
 
-_CATALOGUE = [
-    ("sl2", "", "sl2 with Casimir h^2/2 + 2ef"),
-    ("elliptic", "--alpha Q", "Jacobian bracket of (x^3+y^3+z^3)/3 - alpha*xyz"),
-    ("quadric", "--arity N", "N-ary bracket of x1^2 + ... + x_{N+1}^2"),
-    ("nlie", "--alphas A1,...", "n-ary bracket of a diagonal quadratic form"),
-    ("malcev-canonical", "", "simple 7-dim Malcev algebra, integer basis"),
-    ("malcev-abg", "--alpha --beta --gamma", "scaled Malcev family"),
-    ("malcev-splittable", "", "split Malcev form on (h,x,y,z,x',y',z')"),
-]
-
-
 def cmd_algebra(ns) -> Report:
     if ns.action == "list":
+        catalogue = [(n, p, d) for n, (p, d, _) in structures.ALGEBRAS.items()]
         data = {"algebras": [{"name": n, "params": p, "description": d}
-                             for n, p, d in _CATALOGUE]}
-        lines = [f"{n:20s} {p:28s} {d}" for n, p, d in _CATALOGUE]
+                             for n, p, d in catalogue]}
+        lines = [f"{n:20s} {p:28s} {d}" for n, p, d in catalogue]
         return Report("algebra-list", True, EXIT_OK, data, lines)
 
     ns.algebra = ns.name

@@ -11,12 +11,11 @@ in class (r_1 - 1) + ... + (r_n - 1) + (m - 1).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .brackets import IdentityReport, _Recorder, random_homogeneous
+from .brackets import IdentityReport, _run_checks, random_homogeneous
 from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, StepBudget, buchberger
 from .poly import Polynomial, Scalar
 
@@ -116,7 +115,7 @@ class QuotientContext:
         return (sum(r - 1 for r in residues) + (m - 1)) % m
 
     def verify_grading(self, residues: Sequence[int], trials: int = 50,
-                       seed: int = 0, coeff_bound: int = 9) -> IdentityReport:
+                       seed: int = 0) -> IdentityReport:
         """Check the residue formula on random homogeneous representatives.
 
         Each trial draws inputs of degree r_i or r_i + m and asserts the
@@ -124,23 +123,20 @@ class QuotientContext:
         """
         m = self._require_graded()
         predicted = self.bracket_residue(residues)
-        rec = _Recorder("grading", self.arity)
-        rng = random.Random(seed)
         ctx = self.casimir.ctx
-        for _ in range(trials):
+
+        def draw(rng):
             fs = []
             for r in residues:
                 d = (r % m) + m * rng.randint(0, 1)
-                if d == 0:
-                    d = m
-                fs.append(random_homogeneous(rng, ctx, d, coeff_bound))
-            result = self.bracket_reduce(*fs)
+                fs.append(random_homogeneous(rng, ctx, d or m))
             offending = ctx.zero()
-            for cls in self.grade_decompose(result):
+            for cls in self.grade_decompose(self.bracket_reduce(*fs)):
                 if cls.residue != predicted:
                     offending = offending + cls.part
-            rec.check(offending, fs, note=f"predicted residue {predicted}")
-        return rec.report()
+            yield offending, fs, f"predicted residue {predicted}"
+
+        return _run_checks("grading", self.arity, (), draw, trials, seed)
 
     def homogeneous_lift(self, f: Polynomial) -> Polynomial:
         """Homogeneous representative of a mod-m homogeneous element.

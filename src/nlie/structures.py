@@ -21,8 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .analysis import rational_nullspace
 from .brackets import JacobianBracket, TableBracket
 from .poly import Polynomial, Scalar, VarContext, poly_from_terms
 
@@ -145,33 +146,18 @@ def make_elliptic(alpha: Scalar = 1) -> AlgebraSpec:
                        description="cubic surface bracket {x,y} = z^2 - alpha*x*y etc.")
 
 
-def _gram_det(f: Polynomial) -> Fraction:
-    # Determinant of the symmetric Gram matrix of a quadratic form,
-    # by exact Gaussian elimination.
+def _gram_rows(f: Polynomial) -> List[List[Fraction]]:
+    """Symmetric Gram matrix of a quadratic form."""
     n = f.ctx.nvars
-    unit = [0] * n
     rows: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            mono = list(unit)
+            mono = [0] * n
             mono[i] += 1
             mono[j] += 1
             c = f.coefficient(tuple(mono))
             rows[i][j] = rows[j][i] = c if i == j else c / 2
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / rows[col][col]
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+    return rows
 
 
 def make_nlie(form: Polynomial, name: str = "nlie") -> AlgebraSpec:
@@ -195,9 +181,9 @@ def make_nlie(form: Polynomial, name: str = "nlie") -> AlgebraSpec:
             value = -value
         constants[key] = value
     table = StructureTable(ctx, n, constants)
-    det = _gram_det(form)
+    gram_kernel = rational_nullspace(_gram_rows(form), ctx.nvars)
     return AlgebraSpec(name, n, ctx, casimir=form, table=table,
-                       nondegenerate=(det != 0),
+                       nondegenerate=not gram_kernel,
                        description=f"{n}-ary bracket of the quadratic form {form}")
 
 
@@ -336,8 +322,38 @@ def make_malcev_splittable() -> AlgebraSpec:
 
 # -- registry -----------------------------------------------------------
 
-ALGEBRA_NAMES = ("sl2", "elliptic", "quadric", "nlie", "malcev-canonical",
-                 "malcev-abg", "malcev-splittable")
+def _build_nlie(p: Mapping[str, object]) -> AlgebraSpec:
+    if not p["alphas"]:
+        raise ValueError("nlie needs --alphas a1,a2,...")
+    return make_nlie_diagonal(p["alphas"])
+
+
+def _build_malcev_abg(p: Mapping[str, object]) -> AlgebraSpec:
+    if p["alpha"] is None or p["beta"] is None or p["gamma"] is None:
+        raise ValueError("malcev-abg needs --alpha, --beta and --gamma")
+    return make_malcev_abg(p["alpha"], p["beta"], p["gamma"])
+
+
+# The built-in algebras: name -> (parameter hint, catalogue text, builder).
+# A builder takes the build_algebra keyword parameters as one mapping.
+ALGEBRAS: Dict[str, Tuple[str, str, Callable[[Mapping[str, object]], AlgebraSpec]]] = {
+    "sl2": ("", "sl2 with Casimir h^2/2 + 2ef",
+            lambda p: make_sl2()),
+    "elliptic": ("--alpha Q", "Jacobian bracket of (x^3+y^3+z^3)/3 - alpha*xyz",
+                 lambda p: make_elliptic(1 if p["alpha"] is None else p["alpha"])),
+    "quadric": ("--arity N", "N-ary bracket of x1^2 + ... + x_{N+1}^2",
+                lambda p: make_quadric(2 if p["arity"] is None else p["arity"])),
+    "nlie": ("--alphas A1,...", "n-ary bracket of a diagonal quadratic form",
+             _build_nlie),
+    "malcev-canonical": ("", "simple 7-dim Malcev algebra, integer basis",
+                         lambda p: make_malcev_canonical()),
+    "malcev-abg": ("--alpha --beta --gamma", "scaled Malcev family",
+                   _build_malcev_abg),
+    "malcev-splittable": ("", "split Malcev form on (h,x,y,z,x',y',z')",
+                          lambda p: make_malcev_splittable()),
+}
+
+ALGEBRA_NAMES = tuple(ALGEBRAS)
 
 
 def build_algebra(name: str, *, alpha: Optional[Scalar] = None,
@@ -350,22 +366,8 @@ def build_algebra(name: str, *, alpha: Optional[Scalar] = None,
         KeyError: unknown name.
         ValueError: missing or invalid parameters.
     """
-    if name == "sl2":
-        return make_sl2()
-    if name == "elliptic":
-        return make_elliptic(alpha if alpha is not None else 1)
-    if name == "quadric":
-        return make_quadric(arity if arity is not None else 2)
-    if name == "nlie":
-        if not alphas:
-            raise ValueError("nlie needs --alphas a1,a2,...")
-        return make_nlie_diagonal(alphas)
-    if name == "malcev-canonical":
-        return make_malcev_canonical()
-    if name == "malcev-abg":
-        if alpha is None or beta is None or gamma is None:
-            raise ValueError("malcev-abg needs --alpha, --beta and --gamma")
-        return make_malcev_abg(alpha, beta, gamma)
-    if name == "malcev-splittable":
-        return make_malcev_splittable()
-    raise KeyError(f"unknown algebra {name!r}; known: {', '.join(ALGEBRA_NAMES)}")
+    if name not in ALGEBRAS:
+        raise KeyError(f"unknown algebra {name!r}; known: {', '.join(ALGEBRA_NAMES)}")
+    _, _, build = ALGEBRAS[name]
+    return build({"alpha": alpha, "beta": beta, "gamma": gamma,
+                  "arity": arity, "alphas": alphas})

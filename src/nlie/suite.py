@@ -615,38 +615,16 @@ def _is_constant_span(basis: Sequence[Polynomial]) -> bool:
 def _span_matches(basis: Sequence[Polynomial],
                   target: Sequence[Polynomial]) -> bool:
     """Equality of rational spans via rank computations."""
-    if not basis and not target:
-        return True
     monos = set()
     for p in list(basis) + list(target):
         monos.update(p.terms)
     monos = sorted(monos)
 
-    def matrix(ps):
-        return [[p.coefficient(m) for m in monos] for p in ps]
+    def rank(ps):
+        rows = [[p.coefficient(m) for m in monos] for p in ps]
+        return len(monos) - len(analysis.rational_nullspace(rows, len(monos)))
 
-    def _rk(rows):
-        m = [r[:] for r in rows]
-        cols = len(m[0])
-        r = 0
-        for col in range(cols):
-            piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            scale = m[r][col]
-            m[r] = [v / scale for v in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            r += 1
-        return r
-
-    ra = _rk(matrix(basis)) if basis else 0
-    rb = _rk(matrix(target)) if target else 0
-    rab = _rk(matrix(list(basis) + list(target)))
-    return ra == rb == rab
+    return rank(basis) == rank(target) == rank(list(basis) + list(target))
 
 
 def items_center(seed: int = 0) -> List[SuiteItem]:

@@ -226,6 +226,11 @@ def test_saturation_proper_stable_negative_control():
     report = saturate_poisson_ideal(qctx, [x + y + z - 1])
     assert report.verdict == "proper-stable"
     assert [str(p) for p in report.final_basis] == ["x + y + z - 1"]
+    # A round depends only on the basis, so once one adds nothing the
+    # ideal is stable; no repeat round is run.
+    assert report.rounds == [{"basis_size": 1, "new_elements": 0}]
+    one_round = saturate_poisson_ideal(qctx, [x + y + z - 1], max_rounds=1)
+    assert one_round.verdict == "proper-stable"
 
 
 def test_saturation_budget_exhaustion_is_reported():

@@ -27,11 +27,28 @@ def run_json(capsys, *args):
     return code, doc
 
 
+CATALOGUE = [
+    ("sl2", "", "sl2 with Casimir h^2/2 + 2ef"),
+    ("elliptic", "--alpha Q", "Jacobian bracket of (x^3+y^3+z^3)/3 - alpha*xyz"),
+    ("quadric", "--arity N", "N-ary bracket of x1^2 + ... + x_{N+1}^2"),
+    ("nlie", "--alphas A1,...", "n-ary bracket of a diagonal quadratic form"),
+    ("malcev-canonical", "", "simple 7-dim Malcev algebra, integer basis"),
+    ("malcev-abg", "--alpha --beta --gamma", "scaled Malcev family"),
+    ("malcev-splittable", "", "split Malcev form on (h,x,y,z,x',y',z')"),
+]
+
+
 def test_algebra_list(capsys):
     code, doc = run_json(capsys, "algebra", "list")
     assert code == 0
-    names = {a["name"] for a in doc["data"]["algebras"]}
-    assert {"sl2", "elliptic", "quadric", "malcev-splittable"} <= names
+    assert doc["data"]["algebras"] == [
+        {"name": n, "params": p, "description": d} for n, p, d in CATALOGUE]
+    code, out, _ = run(capsys, "algebra", "list")
+    assert code == 0
+    assert out == "".join(f"{n:20s} {p:28s} {d}\n" for n, p, d in CATALOGUE)
+    assert out.splitlines()[1] == (
+        "elliptic             --alpha Q                    "
+        "Jacobian bracket of (x^3+y^3+z^3)/3 - alpha*xyz")
 
 
 def test_algebra_show(capsys):

@@ -144,6 +144,22 @@ def test_build_algebra_dispatch():
                              gamma=kwargs.get("gamma"),
                              arity=None, alphas=kwargs.get("alphas"))
         assert spec.bracket is not None
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as exc:
         build_algebra("nope", alpha=None, beta=None, gamma=None,
                       arity=None, alphas=None)
+    assert exc.value.args == (
+        "unknown algebra 'nope'; known: sl2, elliptic, quadric, nlie, "
+        "malcev-canonical, malcev-abg, malcev-splittable",)
+    for alphas in (None, []):
+        with pytest.raises(ValueError, match=r"^nlie needs --alphas a1,a2,\.\.\.$"):
+            build_algebra("nlie", alphas=alphas)
+    for missing in ("alpha", "beta", "gamma"):
+        params = {"alpha": 1, "beta": 2, "gamma": 3, missing: None}
+        with pytest.raises(ValueError, match=(
+                r"^malcev-abg needs --alpha, --beta and --gamma$")):
+            build_algebra("malcev-abg", **params)
+    assert build_algebra("elliptic").params == {"alpha": 1}
+    assert build_algebra("quadric").arity == 2
+    assert ALGEBRA_NAMES == ("sl2", "elliptic", "quadric", "nlie",
+                             "malcev-canonical", "malcev-abg",
+                             "malcev-splittable")
