@@ -20,8 +20,8 @@ from .structures import (ALGEBRA_NAMES, AlgebraSpec, StructureTable,
                          make_malcev_canonical, make_malcev_splittable,
                          make_nlie, make_nlie_diagonal, make_quadric, make_sl2)
 from .quotient import GradedClass, NotMHomogeneous, QuotientContext, QuotientError
-from .analysis import (CenterProbeReport, ClosednessReport, LeadingVariableError,
-                       MinimalRoot, NotHomogeneous, RootResult, SaturationReport,
+from .analysis import (CenterProbeReport, ClosednessReport, MinimalRoot,
+                       NotHomogeneous, RootResult, SaturationReport,
                        center_membership, center_membership_jacobian,
                        center_membership_table, center_probe,
                        is_closed_homogeneous, jacobian_dependence, kth_root,

@@ -35,10 +35,6 @@ class NotHomogeneous(ValueError):
     """Operation requires a homogeneous polynomial."""
 
 
-class LeadingVariableError(RuntimeError):
-    """No variable exposes a pure power, even after shearing."""
-
-
 # -- linear algebra helpers ----------------------------------------------
 
 def poly_matrix_rank(rows: Sequence[Sequence[Polynomial]],
@@ -100,35 +96,40 @@ def rational_nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Frac
     the result is deterministic.
 
     This is the package's one exact rational elimination: ranks and Gram
-    nondegeneracy elsewhere are read off its length.  Row updates skip
-    the zero entries of the pivot row, which dominate sparse systems.
+    nondegeneracy elsewhere are read off its length.  Gauss-Jordan runs
+    on sparse rows (column -> nonzero entry), so a row update costs the
+    nonzero entries of the pivot row only.  Which row serves as pivot
+    does not matter: the reduced row echelon form is unique.
     """
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    pivots: List[int] = []
-    r = 0
+    pending = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    reduced: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> its row
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        piv = next((i for i, row in enumerate(pending) if col in row), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        scale = m[r][col]
-        m[r] = [v / scale for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
+        prow = pending.pop(piv)
+        scale = prow[col]
+        prow = {c: v / scale for c, v in prow.items()}
+        for row in itertools.chain(pending, reduced.values()):
+            f = row.get(col)
+            if f is not None:
+                for c, b in prow.items():
+                    v = row.get(c, 0) - f * b
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+        reduced[col] = prow
+        if not pending:
             break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in reduced:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -m[prow][fc]
+        for pcol, prow in reduced.items():
+            vec[pcol] = -prow.get(fc, Fraction(0))
         basis.append(vec)
     return basis
 
@@ -201,12 +202,12 @@ def kth_root(c_poly: Polynomial, k: int) -> RootResult:
 
     The root, when it exists, is unique up to a scalar; the returned one
     is monic in the distinguished variable and alpha absorbs the rest.
+    Every nonzero homogeneous C is decided: when no variable has a pure
+    top power, a shear x_i -> x_i + t_i*x_1 exposes one (see below).
 
     Raises:
         NotHomogeneous: C not homogeneous or zero.
         ValueError: k < 1.
-        LeadingVariableError: no usable distinguished variable even after
-            shearing x_i -> x_i + t*x_j, t in {1,2,3}.
     """
     if c_poly.is_zero() or not c_poly.is_homogeneous():
         raise NotHomogeneous("kth_root needs a nonzero homogeneous polynomial")
@@ -220,30 +221,27 @@ def kth_root(c_poly: Polynomial, k: int) -> RootResult:
         pure = tuple(big_d if t == j else 0 for t in range(ctx.nvars))
         if c_poly.coefficient(pure) != 0:
             return _root_with_leading(c_poly, k, j)
-    # no pure power anywhere: shear toward some variable and undo afterward
-    for t in (1, 2, 3):
-        for j in range(ctx.nvars):
-            point = [Fraction(t)] * ctx.nvars
-            point[j] = Fraction(1)
-            if c_poly.evaluate(point) == 0:
-                continue
-            names = ctx.names
-            xj = ctx.variable(j)
-            fwd = {names[i]: ctx.variable(i) + t * xj
-                   for i in range(ctx.nvars) if i != j}
-            back = {names[i]: ctx.variable(i) - t * xj
-                    for i in range(ctx.nvars) if i != j}
-            sheared = c_poly.substitute(fwd)
-            res = _root_with_leading(sheared, k, j)
-            if not res.found:
-                return RootResult(k, None, None, res.reason)
-            root = res.root.substitute(back)
-            assert res.alpha is not None
-            if res.alpha * root ** k == c_poly:
-                return RootResult(k, root, res.alpha)
-            return RootResult(k, None, None, "unsheared candidate fails verification")
-    raise LeadingVariableError(
-        "no variable exposes a pure power, shears t=1,2,3 included")
+    # No pure power anywhere: shear x_i -> x_i + t_i*x_1 (i > 1), after
+    # which the coefficient of x_1^D is C(1, t_2, ..., t_n).  That is C
+    # dehomogenised at x_1 = 1, a nonzero polynomial of degree <= D in
+    # each t_i, so it is nonzero somewhere on the grid {0..D}^(n-1)
+    # (Alon, Combinatorial Nullstellensatz, 1999).  The scan starts at
+    # the all-ones point.
+    values = [1, 0] + list(range(2, big_d + 1))
+    shear = next(ts for ts in itertools.product(values, repeat=ctx.nvars - 1)
+                 if c_poly.evaluate((1,) + ts) != 0)
+    names = ctx.names
+    x1 = ctx.variable(0)
+    fwd = {names[i]: ctx.variable(i) + t * x1 for i, t in enumerate(shear, 1)}
+    back = {names[i]: ctx.variable(i) - t * x1 for i, t in enumerate(shear, 1)}
+    res = _root_with_leading(c_poly.substitute(fwd), k, 0)
+    if not res.found:
+        return RootResult(k, None, None, res.reason)
+    root = res.root.substitute(back)
+    assert res.alpha is not None
+    if res.alpha * root ** k == c_poly:
+        return RootResult(k, root, res.alpha)
+    return RootResult(k, None, None, "unsheared candidate fails verification")
 
 
 def _divisors_desc(n: int) -> List[int]:

@@ -466,9 +466,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except analysis.LeadingVariableError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     return report.emit(ns.json)
 
 

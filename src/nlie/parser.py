@@ -10,7 +10,9 @@ Grammar, loosest binding first:
 
 so '^' binds tighter than multiplication, which binds tighter than unary
 minus, which binds tighter than binary '+'/'-'.  '/' only forms rational
-literals from two integer tokens.  Exponents are non-negative integers.
+literals from two integer tokens.  Exponents are non-negative integers;
+a power that may have more than MAX_POWER_TERMS terms raises
+BudgetExhausted before it is computed.
 
 An identifier is a letter, optional digits, and at most one trailing
 prime: x, e2, x'.  A maximal alphanumeric run lexes greedily into such
@@ -26,9 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+from .groebner import BudgetExhausted
 from .poly import Polynomial, VarContext
+
+# Largest term-count bound (see _power_terms_bound) that a '^' may reach;
+# a larger power fails before any arithmetic.
+MAX_POWER_TERMS = 2_000
 
 
 class ParseError(ValueError):
@@ -165,7 +173,13 @@ class _Parser:
             if t.kind != "int":
                 raise self.fail(("integer",))
             self.advance()
-            return base ** int(t.text)
+            e = int(t.text)
+            bound = _power_terms_bound(base, e)
+            if bound > MAX_POWER_TERMS:
+                raise BudgetExhausted(
+                    f"power at offset {t.pos} may have up to {bound} terms "
+                    f"(limit {MAX_POWER_TERMS})")
+            return base ** e
         return base
 
     def atom(self) -> Polynomial:
@@ -198,6 +212,20 @@ class _Parser:
             self.advance()
             return inner
         raise self.fail(_ATOM_START)
+
+
+def _power_terms_bound(base: Polynomial, e: int) -> int:
+    """Upper bound on the number of terms of base**e.
+
+    Each term of base**e is a product of e of base's t terms, so there are
+    at most C(t-1+e, e) of them; each has degree at most d*e in n
+    variables, so there are at most C(n+d*e, n).
+    """
+    t = base.num_terms()
+    if t <= 1 or e == 0:
+        return 1
+    n, d = base.ctx.nvars, base.total_degree()
+    return min(comb(t - 1 + e, e), comb(n + d * e, n))
 
 
 def parse_polynomial(src: str, ctx: VarContext) -> Polynomial:

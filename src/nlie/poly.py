@@ -9,13 +9,21 @@ Canonical form: no zero coefficients are ever stored, exponents are
 non-negative ints, and every monomial tuple has exactly one entry per
 context variable.  Two polynomials are equal iff their contexts and term
 maps are equal.
+
+Products (and so powers, determinants, brackets and substitution) run
+on cleared denominators: each operand is written once as integer
+numerators over the lcm d of its denominators, the term pairs sum as
+plain ints, and each surviving sum is divided by d_a * d_b once at the
+end.  No Fraction is built or normalised inside the pair loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from math import lcm
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -198,6 +206,13 @@ class Polynomial:
         return self.ctx.constant(other).__sub__(self)
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+        """Product with a polynomial or a scalar.
+
+        For two polynomials, each operand is cleared to integer
+        numerators over its least common denominator d; the integer
+        products are summed per monomial, and the nonzero sums become
+        Fraction(sum, d_a * d_b), so the result is canonical.
+        """
         if not isinstance(other, Polynomial):
             q = Fraction(other)
             if q == 0:
@@ -207,16 +222,18 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: Dict[Monomial, Fraction] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(mono, _ZERO) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return _raw(self.ctx, out)
+        da, ia = _cleared(a)
+        db, ib = _cleared(b)
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for ma, ca in ia:
+            for mb, cb in ib:
+                mono = tuple(map(add, ma, mb))
+                out[mono] = get(mono, 0) + ca * cb
+        d = da * db
+        if d == 1:
+            return _raw(self.ctx, {m: Fraction(v) for m, v in out.items() if v})
+        return _raw(self.ctx, {m: Fraction(v, d) for m, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -373,6 +390,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.ctx}, {format_polynomial(self)})"
+
+
+def _cleared(terms: Dict[Monomial, Fraction]) -> Tuple[int, List[Tuple[Monomial, int]]]:
+    # (d, [(mono, c*d)]) with d the lcm of the denominators, so every
+    # c*d is an int.
+    d = lcm(*[c.denominator for c in terms.values()])
+    if d == 1:
+        return 1, [(m, c.numerator) for m, c in terms.items()]
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
 
 
 def _raw(ctx: VarContext, terms: Dict[Monomial, Fraction]) -> Polynomial:

@@ -1,12 +1,17 @@
 """Roots, closedness, rank tools, center probes and ideal saturation."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlie.analysis import (LeadingVariableError, NotHomogeneous,
-                           center_membership, center_probe,
+from nlie.analysis import (NotHomogeneous, center_membership, center_probe,
                            is_closed_homogeneous, jacobian_dependence,
                            kth_root, minimal_root_homogeneous,
                            poly_matrix_rank, rational_nullspace,
@@ -14,7 +19,7 @@ from nlie.analysis import (LeadingVariableError, NotHomogeneous,
 from nlie.brackets import random_homogeneous, random_polynomial
 from nlie.groebner import GREVLEX
 from nlie.parser import parse_polynomial
-from nlie.poly import context
+from nlie.poly import Polynomial, VarContext, context
 from nlie.quotient import QuotientContext
 from nlie.structures import (make_elliptic, make_malcev_splittable,
                              make_nlie, make_quadric, make_sl2)
@@ -106,6 +111,69 @@ def test_minimal_root_random_invariant():
         mr = minimal_root_homogeneous(f)
         assert mr.alpha * mr.root ** mr.k == f
         assert is_closed_homogeneous(mr.root).closed
+
+
+@st.composite
+def factored_forms(draw):
+    """Products of powers of small homogeneous forms in 2 or 3 variables.
+
+    Two thirds of them lose every pure top power, so kth_root must
+    shear: either every variable is a factor, or x0*x1 and x1 - t*x0 for
+    t = 1, 2, 3 are, so that C(1, t, ...) vanishes at t = 0..3 and the
+    shear scan has to go past those grid points.
+    """
+    n = draw(st.integers(2, 3))
+    ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+    c = ctx.one()
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(1, 2))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=n)
+                 if sum(m) == degree]
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos),
+                               max_size=len(monos)).filter(any))
+        c = c * Polynomial(ctx, dict(zip(monos, coeffs))) ** draw(st.integers(1, 3))
+    x0, x1 = ctx.gens()[:2]
+    shape = draw(st.sampled_from(["plain", "all-variables", "grid-zeros"]))
+    if shape == "all-variables":
+        for v in ctx.gens():
+            c = c * v
+    elif shape == "grid-zeros":
+        c = c * x0 * x1 * (x1 - x0) * (x1 - 2 * x0) * (x1 - 3 * x0)
+    return c
+
+
+def _multiplicity_gcd(c):
+    syms = sympy.symbols(c.ctx.names)
+    expr = sum((sympy.Rational(q.numerator, q.denominator)
+                * sympy.Mul(*[s ** e for s, e in zip(syms, mono)])
+                for mono, q in c.terms.items()), sympy.Integer(0))
+    _, factors = sympy.factor_list(expr, *syms)
+    return reduce(gcd, (m for _, m in factors), 0)
+
+
+ROOT_PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@ROOT_PROPERTY
+@given(factored_forms(), st.integers(1, 3),
+       st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)))
+def test_kth_root_rebuilds_planted_power(c, k, alpha):
+    target = alpha * c ** k
+    res = kth_root(target, k)
+    assert res.found
+    assert res.alpha * res.root ** k == target
+
+
+@ROOT_PROPERTY
+@given(factored_forms(), st.integers(1, 4))
+def test_kth_root_found_iff_k_divides_multiplicities(c, k):
+    assert kth_root(c, k).found == (_multiplicity_gcd(c) % k == 0)
+
+
+@ROOT_PROPERTY
+@given(factored_forms())
+def test_closedness_matches_factor_list(c):
+    assert is_closed_homogeneous(c).closed == (_multiplicity_gcd(c) == 1)
 
 
 # -- exact linear algebra ----------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON schema conformance, text agreement."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -8,6 +9,8 @@ import pytest
 
 import nlie
 from nlie.cli import main
+from nlie.parser import parse_polynomial
+from nlie.poly import context
 
 SCHEMA = json.loads(
     (Path(nlie.__file__).parent / "schemas" / "report.schema.json").read_text())
@@ -150,6 +153,35 @@ def test_root_commands(capsys):
     assert doc["data"]["closed"] is True
     code, doc = run_json(capsys, "minroot", "x^4 + 2*x^2*y^2 + y^4")
     assert doc["data"]["k"] == 2 and doc["data"]["root"] == "x^2 + y^2"
+
+
+# No variable has a pure top power, and C(1, t) vanishes at t = 0, 1, 2, 3,
+# so kth_root has to shear by a grid point past the all-ones one.
+NO_PURE_POWER = "x*y*(y-x)*(y-2*x)*(y-3*x)*(x-2*y)*(x-3*y)"
+
+
+def test_root_family_decides_without_pure_power(capsys):
+    code, doc = run_json(capsys, "closed", NO_PURE_POWER)
+    assert code == 0 and doc["data"]["closed"] is True
+    code, doc = run_json(capsys, "minroot", NO_PURE_POWER)
+    assert code == 0 and doc["data"]["was_closed"] is True
+    square = f"({NO_PURE_POWER})^2"
+    code, doc = run_json(capsys, "root", "--k", "2", square)
+    assert code == 0 and doc["data"]["found"] is True
+    ctx = context("x", "y")
+    root = parse_polynomial(doc["data"]["root"], ctx)
+    assert Fraction(doc["data"]["alpha"]) * root ** 2 == parse_polynomial(square, ctx)
+    code, doc = run_json(capsys, "minroot", square)
+    assert code == 0 and doc["data"]["k"] == 2
+
+
+def test_power_term_bound_exits_3(capsys):
+    code, out, err = run(capsys, "root", "--k", "2", "(x+y+z+w)^400")
+    assert code == 3 and out == "" and "budget exhausted" in err
+    # one term stays one term, however large the exponent
+    code, doc = run_json(capsys, "bracket", "--casimir", "x^100000",
+                         "--vars", "x,y", "y")
+    assert code == 0 and doc["data"]["result"] == "-100000*x^99999"
 
 
 def test_center_commands(capsys):

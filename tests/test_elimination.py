@@ -59,6 +59,18 @@ def test_rational_nullspace_matches_sympy_rank(case):
     assert _sympy_rank(basis, ncols) == len(basis)
 
 
+@PROPERTY
+@given(matrices())
+def test_rational_nullspace_equals_sympy_nullspace(case):
+    # both read the basis off the reduced row echelon form, which is
+    # unique, so the vectors agree entry by entry
+    rows, ncols = case
+    expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r]
+                             for r in rows]).nullspace()
+    assert rational_nullspace(rows, ncols) == [
+        [Fraction(int(x.p), int(x.q)) for x in vec] for vec in expected]
+
+
 def _ctx(nvars):
     return VarContext(tuple(f"x{i}" for i in range(nvars)))
 

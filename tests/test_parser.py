@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from nlie.parser import ParseError, infer_context, parse_polynomial, tokenize
+from nlie.groebner import BudgetExhausted
+from nlie.parser import (MAX_POWER_TERMS, ParseError, infer_context,
+                         parse_polynomial, tokenize)
 from nlie.poly import context
 from nlie.brackets import random_polynomial
 
@@ -109,3 +111,16 @@ def test_round_trip_primed():
     for _ in range(30):
         p = random_polynomial(rng, ctx, max_degree=3, max_terms=5)
         assert parse_polynomial(str(p), ctx) == p
+
+
+def test_power_term_bound():
+    # (x+y+z)^e has C(e+2, 2) terms: 1,953 for e = 61, 2,016 for e = 62
+    assert MAX_POWER_TERMS == 2_000
+    assert parse("(x + y + z)^61").num_terms() == 1953
+    with pytest.raises(BudgetExhausted, match="offset 12"):
+        parse("(x + y + z)^62")
+    # the degree bound C(n + d*e, n) caps powers of bases with many terms
+    with pytest.raises(BudgetExhausted):
+        parse("(x*y + y*z + x*z + x + y + z + 1)^30")
+    assert parse("(x - x)^1000000").is_zero()
+    assert parse("(2*x)^1000") == XYZ.constant(2 ** 1000) * XYZ.variable("x") ** 1000

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlie.poly import ContextMismatch, Polynomial, VarContext, context
+from nlie.poly import ContextMismatch, Polynomial, VarContext, _cleared, context
 from nlie.brackets import random_polynomial
 
 XY = context("x", "y")
@@ -191,3 +195,84 @@ def test_equality_with_scalars():
     assert XY.constant(3) == 3
     assert XY.zero() == 0
     assert X != 1
+
+
+# -- the product kernel against sympy --------------------------------------
+#
+# `__mul__` clears each operand's denominators to one common d, sums
+# integer products and divides by d_a * d_b once per surviving term; these
+# properties check the values, the canonical form and the clearing step.
+
+PROPERTY = settings(max_examples=80, deadline=None)
+
+_fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                       st.sampled_from([1, 1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def fraction_polys(draw, ctx):
+    """Sparse polynomials (zero included) with mixed denominators."""
+    monos = st.tuples(*[st.integers(0, 2)] * ctx.nvars)
+    return Polynomial(ctx, draw(st.dictionaries(monos, _fractions, max_size=5)))
+
+
+def _poly_pairs(n):
+    ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+    return st.tuples(fraction_polys(ctx), fraction_polys(ctx))
+
+
+_pairs = st.integers(1, 3).flatmap(_poly_pairs)
+
+
+def _to_sympy(p):
+    syms = sympy.symbols(p.ctx.names)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[s ** e for s, e in zip(syms, mono)])
+                for mono, c in p.terms.items()), sympy.Integer(0))
+
+
+def _assert_canonical(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+@PROPERTY
+@given(_pairs)
+def test_mul_matches_sympy(pair):
+    a, b = pair
+    prod = a * b
+    _assert_canonical(prod)
+    assert sympy.expand(_to_sympy(a) * _to_sympy(b) - _to_sympy(prod)) == 0
+
+
+@PROPERTY
+@given(_pairs.flatmap(lambda ab: st.tuples(st.just(ab[0]), st.integers(0, 4))))
+def test_pow_matches_sympy(case):
+    a, k = case
+    power = a ** k
+    _assert_canonical(power)
+    assert sympy.expand(_to_sympy(a) ** k - _to_sympy(power)) == 0
+
+
+@PROPERTY
+@given(_pairs)
+def test_mul_cancellation_leaves_no_zero_terms(pair):
+    # the cross terms of (a + b)(a - b) cancel inside one product
+    a, b = pair
+    diff = (a + b) * (a - b)
+    _assert_canonical(diff)
+    assert diff == a * a - b * b
+    assert sympy.expand(_to_sympy(a) ** 2 - _to_sympy(b) ** 2
+                        - _to_sympy(diff)) == 0
+    assert (a * b - b * a).terms == {}
+
+
+@PROPERTY
+@given(_pairs)
+def test_cleared_form_is_least(pair):
+    # d is the lcm of the denominators exactly when no prime divides d
+    # and every numerator
+    terms = pair[0].terms
+    d, cleared = _cleared(terms)
+    assert [m for m, _ in cleared] == list(terms)
+    assert all(type(n) is int and Fraction(n, d) == terms[m] for m, n in cleared)
+    assert gcd(d, *(n for _, n in cleared)) == 1
