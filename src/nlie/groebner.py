@@ -4,15 +4,18 @@ Everything here is deterministic: given the same generators and order,
 the same reduced basis comes back in the same sequence.  Long
 computations are metered by an explicit reduction-step budget and fail
 loudly with BudgetExhausted, never silently.
+
+An order's sort key is fixed when the order is built; GREVLEX.key is
+poly.grevlex_key, the key `str()` prints terms by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .poly import Monomial, Polynomial, VarContext, _raw
+from .poly import Monomial, Polynomial, _raw, grevlex_key
 
 DEFAULT_BUDGET = 100_000
 
@@ -66,35 +69,34 @@ class MonomialOrder:
     """A monomial order: 'grevlex' (default) or 'lex'.
 
     `perm` optionally permutes variable significance: perm[0] is the most
-    significant variable index.  None means context order.
+    significant variable index.  None means context order; otherwise it
+    must be a permutation of range(nvars) for the polynomials ordered.
+    `key(mono)`, larger for larger monomials, is chosen at construction.
     """
 
     kind: str = "grevlex"
     perm: Optional[Tuple[int, ...]] = None
+    key: Callable[[Monomial], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def _permuted(self, mono: Monomial) -> Monomial:
-        if self.perm is None:
-            return mono
-        return tuple(mono[i] for i in self.perm)
-
-    def key(self, mono: Monomial) -> tuple:
-        """Sort key; larger key means larger monomial."""
-        m = self._permuted(mono)
-        if self.kind == "lex":
-            return m
-        return (sum(m), tuple(-e for e in reversed(m)))
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
+        perm = self.perm
+        if perm is not None and sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"perm {perm} is not a permutation of 0..{len(perm) - 1}")
+        # lex compares the exponent tuples themselves
+        key = grevlex_key if self.kind == "grevlex" else tuple
+        if perm is not None:
+            unpermuted = key
+            key = lambda m: unpermuted(tuple(m[i] for i in perm))
+        object.__setattr__(self, "key", key)
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
         if p.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
+        if self.perm is not None and len(self.perm) != p.ctx.nvars:
+            raise ValueError(f"perm {self.perm} does not fit the "
+                             f"{p.ctx.nvars} variables of {p.ctx}")
         return max(p.terms, key=self.key)
 
     def leading_term(self, p: Polynomial) -> Tuple[Monomial, Fraction]:
@@ -108,9 +110,6 @@ class MonomialOrder:
         if p.is_zero():
             return p
         return p / self.leading_coefficient(p)
-
-    def sorted_monomials(self, monos: Iterable[Monomial]) -> List[Monomial]:
-        return sorted(monos, key=self.key, reverse=True)
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -203,14 +202,14 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 
 # -- Buchberger ---------------------------------------------------------
 
-def _update_pairs(basis: List[Polynomial], pairs: List[Tuple[int, int]],
-                  f: Polynomial, order: MonomialOrder) -> None:
+def _update_pairs(basis: List[Polynomial], lms: List[Monomial],
+                  pairs: List[Tuple[int, int]], f: Polynomial,
+                  order: MonomialOrder) -> None:
     """Gebauer-Moller pair update: append f to basis, prune and extend pairs.
 
-    Mutates basis and pairs in place.
+    Mutates basis, its leading monomials lms and pairs in place.
     """
     lmf = order.leading_monomial(f)
-    lms = [order.leading_monomial(g) for g in basis]
 
     kept = []
     for (i, j) in pairs:
@@ -244,15 +243,16 @@ def _update_pairs(basis: List[Polynomial], pairs: List[Tuple[int, int]],
         pairs.append((min(members), new_idx))
 
     basis.append(f)
+    lms.append(lmf)
 
 
-def _minimalize(basis: List[Polynomial], order: MonomialOrder) -> List[Polynomial]:
-    out: List[Polynomial] = []
-    for g in sorted(basis, key=lambda p: order.key(order.leading_monomial(p))):
-        lm = order.leading_monomial(g)
-        if all(not mono_divides(order.leading_monomial(h), lm) for h in out):
-            out.append(g)
-    return out
+def _minimalize(basis: List[Polynomial], lms: List[Monomial],
+                order: MonomialOrder) -> List[Polynomial]:
+    out: List[Tuple[Monomial, Polynomial]] = []
+    for lm, g in sorted(zip(lms, basis), key=lambda t: order.key(t[0])):
+        if not any(mono_divides(h, lm) for h, _ in out):
+            out.append((lm, g))
+    return [g for _, g in out]
 
 
 def _interreduce(basis: List[Polynomial], order: MonomialOrder,
@@ -321,22 +321,24 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             raise ValueError("generators from different contexts")
 
     basis: List[Polynomial] = []
+    lms: List[Monomial] = []
     pairs: List[Tuple[int, int]] = []
     for g in nonzero:
         _, r = divide(g, basis, order, budget) if basis else ([], g)
         if not r.is_zero():
-            _update_pairs(basis, pairs, order.monic(r), order)
+            _update_pairs(basis, lms, pairs, order.monic(r), order)
 
+    key = order.key
     while pairs:
-        pairs.sort(key=lambda ij: order.key(
-            mono_lcm(order.leading_monomial(basis[ij[0]]),
-                     order.leading_monomial(basis[ij[1]]))))
-        i, j = pairs.pop(0)
+        # the first smallest lcm in insertion order; pairs are distinct
+        ij = min(pairs, key=lambda p: key(mono_lcm(lms[p[0]], lms[p[1]])))
+        pairs.remove(ij)
+        i, j = ij
         s = spoly(basis[i], basis[j], order)
         _, r = divide(s, basis, order, budget)
         if not r.is_zero():
-            _update_pairs(basis, pairs, order.monic(r), order)
+            _update_pairs(basis, lms, pairs, order.monic(r), order)
 
-    reduced = _interreduce(_minimalize(basis, order), order, budget)
+    reduced = _interreduce(_minimalize(basis, lms, order), order, budget)
     reduced.sort(key=lambda p: order.key(order.leading_monomial(p)))
     return GroebnerBasis(tuple(reduced), order)

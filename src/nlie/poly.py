@@ -100,10 +100,9 @@ def context(*names: str) -> VarContext:
     return VarContext(tuple(names))
 
 
-def _grevlex_key(mono: Monomial) -> tuple:
-    # Larger key = larger monomial: total degree first, then reversed
-    # exponents negated (the rightmost variable where two monomials differ
-    # decides, smaller exponent there winning).
+def grevlex_key(mono: Monomial) -> tuple:
+    """Grevlex key, also GREVLEX.key: total degree first, then the rightmost
+    differing exponent, smaller winning.  Larger key, larger monomial."""
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
@@ -360,10 +359,9 @@ class Polynomial:
 
     # -- term access ------------------------------------------------------
 
-    def sorted_terms(self, key=None) -> Iterator[Tuple[Monomial, Fraction]]:
-        """Terms in descending monomial order (grevlex by default)."""
-        k = key or _grevlex_key
-        for mono in sorted(self.terms, key=k, reverse=True):
+    def sorted_terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
+        """Terms in descending grevlex order."""
+        for mono in sorted(self.terms, key=grevlex_key, reverse=True):
             yield mono, self.terms[mono]
 
     # -- equality, hashing, repr ------------------------------------------
@@ -424,8 +422,8 @@ def _format_coeff(q: Fraction) -> str:
     return str(q)  # Fraction prints as "p/q" or "p"
 
 
-def format_polynomial(p: Polynomial, key=None) -> str:
-    """Deterministic text form, largest term first.
+def format_polynomial(p: Polynomial) -> str:
+    """Deterministic text form, largest grevlex term first.
 
     Always inserts `*` between factors so the output re-parses exactly,
     e.g. "2*e*f + 1/2*h^2".
@@ -434,7 +432,7 @@ def format_polynomial(p: Polynomial, key=None) -> str:
         return "0"
     names = p.ctx.names
     chunks = []
-    for i, (mono, coeff) in enumerate(p.sorted_terms(key=key)):
+    for i, (mono, coeff) in enumerate(p.sorted_terms()):
         mono_s = _format_mono(names, mono)
         neg = coeff < 0
         mag = -coeff if neg else coeff

@@ -1,8 +1,8 @@
 """Quotients by a shifted Casimir and their mod-m degree grading.
 
 S = P / (C - lambda) with lambda a nonzero rational.  Elements are
-represented by their unique normal form modulo the principal ideal
-(C - lambda); the induced bracket reduces the ambient bracket.  When C
+represented by their unique grevlex normal form modulo the principal
+ideal (C - lambda); the induced bracket reduces the ambient bracket.  When C
 is homogeneous of degree m, monomial degree mod m grades the quotient:
 reduction by C - lambda trades degree d for degree d - m, so the class
 of a polynomial is well defined, and a bracket of classes r_1..r_n lands
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .brackets import IdentityReport, _run_checks, random_homogeneous
-from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, StepBudget, buchberger
+from .groebner import GroebnerBasis, StepBudget, buchberger
 from .poly import Polynomial, Scalar
 
 
@@ -41,19 +41,17 @@ class QuotientContext:
     bracket: object
     casimir: Polynomial
     lam: Fraction
-    order: MonomialOrder
     modulus: GroebnerBasis
 
     @classmethod
-    def create(cls, bracket, lam: Scalar, casimir: Optional[Polynomial] = None,
-               order: MonomialOrder = GREVLEX) -> "QuotientContext":
+    def create(cls, bracket, lam: Scalar,
+               casimir: Optional[Polynomial] = None) -> "QuotientContext":
         """Build a quotient context.
 
         Args:
             bracket: JacobianBracket or TableBracket.
             lam: the nonzero shift.
             casimir: defaults to the bracket's Casimir when it has one.
-            order: monomial order for normal forms.
         """
         lamq = Fraction(lam)
         if lamq == 0:
@@ -64,8 +62,8 @@ class QuotientContext:
                 raise QuotientError("table bracket needs an explicit casimir")
         if casimir.ctx != bracket.ctx:
             raise QuotientError("casimir context does not match the bracket")
-        modulus = buchberger([casimir - lamq], order)
-        return cls(bracket, casimir, lamq, order, modulus)
+        modulus = buchberger([casimir - lamq])
+        return cls(bracket, casimir, lamq, modulus)
 
     @property
     def m(self) -> int:

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON schema conformance, text agreement."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -178,10 +179,25 @@ def test_root_family_decides_without_pure_power(capsys):
 def test_power_term_bound_exits_3(capsys):
     code, out, err = run(capsys, "root", "--k", "2", "(x+y+z+w)^400")
     assert code == 3 and out == "" and "budget exhausted" in err
+    # 2,000 terms pass the term bound, but their coefficients run to
+    # about 50,000 bits: refused at once instead of running for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "root", "--k", "2", "(9999999*x+7777777/3*y)^1999")
+    assert code == 3 and out == "" and "coefficient bits" in err
+    assert time.perf_counter() - start < 1
     # one term stays one term, however large the exponent
     code, doc = run_json(capsys, "bracket", "--casimir", "x^100000",
                          "--vars", "x,y", "y")
     assert code == 0 and doc["data"]["result"] == "-100000*x^99999"
+
+
+def test_center_huge_degree_exits_3(capsys):
+    # C(7 + 10, 7) = 19,448 unknowns: refused before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "center", "--algebra", "malcev-canonical",
+                         "--degree", "10")
+    assert code == 3 and out == "" and "19448 unknowns" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_center_commands(capsys):

@@ -8,13 +8,15 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlie.groebner import (BudgetExhausted, GREVLEX, LEX, MonomialOrder,
-                           StepBudget, buchberger, divexact, divide,
-                           mono_div, mono_divides, mono_lcm, mono_mul,
+from nlie.groebner import (BudgetExhausted, DEFAULT_BUDGET, GREVLEX, LEX,
+                           MonomialOrder, StepBudget, buchberger, divexact,
+                           divide, mono_div, mono_divides, mono_lcm, mono_mul,
                            normal_form, spoly)
 from nlie.parser import parse_polynomial
-from nlie.poly import context
+from nlie.poly import Polynomial, VarContext, context, grevlex_key
 from nlie.brackets import random_polynomial
 
 XYZ = context("x", "y", "z")
@@ -59,6 +61,24 @@ def test_order_permutation():
     assert flipped.leading_monomial(q) == (0, 2, 1)
     with pytest.raises(ValueError):
         MonomialOrder(kind="weird")
+    # the key is fixed at construction; grevlex in context order is the
+    # key str() prints by
+    assert GREVLEX.key is grevlex_key
+
+
+def test_order_rejects_bad_perm():
+    for perm in [(0, 0, 1), (1, 2), (0, 1, 3)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            MonomialOrder(perm=perm)
+    # a permutation of fewer variables than the context would rank x and
+    # x*z equal, so this division would never end
+    short = MonomialOrder(perm=(1, 0))
+    budget = StepBudget(10_000)
+    with pytest.raises(ValueError, match="does not fit"):
+        normal_form(pp("x"), [pp("x - x*z")], short, budget)
+    assert budget.used == 0
+    with pytest.raises(ValueError, match="does not fit"):
+        MonomialOrder("lex", (3, 2, 1, 0)).leading_monomial(pp("x + y"))
 
 
 def test_monic():
@@ -169,3 +189,85 @@ def test_basis_reduce_matches_normal_form():
     gb = buchberger([pp("x^2 + y"), pp("x*y - 1")], GREVLEX)
     f = pp("x^3*y + y^3 - x")
     assert gb.reduce(f) == normal_form(f, list(gb), GREVLEX)
+
+
+# -- step counts ------------------------------------------------------------
+#
+# Step counts are what `nlie saturate` reports as steps_used and decide
+# where a --budget runs out, so a change to division or pair selection
+# that moves them is visible here.
+
+def _cyclic(n):
+    ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+    xs = ctx.gens()
+    polys = []
+    for k in range(1, n):
+        acc = ctx.zero()
+        for i in range(n):
+            term = ctx.one()
+            for j in range(k):
+                term = term * xs[(i + j) % n]
+            acc = acc + term
+        polys.append(acc)
+    prod = ctx.one()
+    for x in xs:
+        prod = prod * x
+    polys.append(prod - 1)
+    return polys
+
+
+def _katsura(n):
+    ctx = VarContext(tuple(f"u{i}" for i in range(n + 1)))
+    us = ctx.gens()
+
+    def u(l):
+        return us[abs(l)] if abs(l) <= n else ctx.zero()
+
+    linear = us[0]
+    for l in range(1, n + 1):
+        linear = linear + 2 * us[l]
+    polys = [linear - 1]
+    for m in range(n):
+        acc = ctx.zero()
+        for l in range(-n, n + 1):
+            acc = acc + u(l) * u(m - l)
+        polys.append(acc - u(m))
+    return polys
+
+
+@pytest.mark.parametrize("polys,order,steps,size", [
+    (_cyclic(5), GREVLEX, 1244, 20),
+    (_cyclic(5), MonomialOrder("grevlex", (4, 2, 0, 1, 3)), 1488, 20),
+    (_katsura(3), LEX, 216, 4),
+])
+def test_buchberger_step_counts(polys, order, steps, size):
+    budget = StepBudget(DEFAULT_BUDGET)
+    gb = buchberger(polys, order, budget)
+    assert (budget.used, len(gb)) == (steps, size)
+
+
+# -- normal forms against sympy --------------------------------------------
+
+NF_PROPERTY = settings(max_examples=60, deadline=None)
+
+_XYZ_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                             st.integers(-5, 5).filter(bool),
+                             min_size=1, max_size=3)
+
+@NF_PROPERTY
+@given(st.lists(_XYZ_TERMS, min_size=2, max_size=3),
+       _XYZ_TERMS.map(lambda t: Polynomial(XYZ, t)),
+       st.permutations([0, 1, 2]).map(tuple))
+def test_normal_form_matches_sympy(gen_terms, f, perm):
+    # The remainder modulo a Groebner basis is unique, so ours and
+    # sympy's must agree whatever division each one does.  sympy ranks
+    # gens[0] first, so its gens are the variables in perm order.
+    gens = [Polynomial(XYZ, t) for t in gen_terms]
+    for order, name, syms in [(GREVLEX, "grevlex", "x y z"), (LEX, "lex", "x y z"),
+                              (MonomialOrder("grevlex", perm), "grevlex",
+                               " ".join(XYZ.names[i] for i in perm))]:
+        basis = buchberger(gens, order)
+        _, expected = sympy.reduced(to_sympy(f), [to_sympy(g) for g in basis],
+                                    *sympy.symbols(syms), order=name, domain="QQ")
+        ours = normal_form(f, basis.generators, order)
+        assert sympy.expand(expected - to_sympy(ours)) == 0, order
