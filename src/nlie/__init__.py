@@ -24,8 +24,7 @@ from .analysis import (CenterProbeReport, ClosednessReport, MinimalRoot,
                        NotHomogeneous, RootResult, SaturationReport,
                        center_membership, center_membership_jacobian,
                        center_membership_table, center_probe,
-                       is_closed_homogeneous, jacobian_dependence, kth_root,
-                       minimal_root_homogeneous, poly_matrix_rank,
-                       saturate_poisson_ideal)
+                       is_closed_homogeneous, kth_root,
+                       minimal_root_homogeneous, saturate_poisson_ideal)
 
 __version__ = "0.1.0"

@@ -26,8 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groebner import (GREVLEX, BudgetExhausted, StepBudget, buchberger, divexact,
-                       mono_divides)
+from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
 from .poly import Polynomial, VarContext, poly_from_terms
 from .quotient import QuotientContext
 
@@ -37,56 +36,6 @@ class NotHomogeneous(ValueError):
 
 
 # -- linear algebra helpers ----------------------------------------------
-
-def poly_matrix_rank(rows: Sequence[Sequence[Polynomial]]) -> int:
-    """Rank of a polynomial matrix over the fraction field, by fraction-free
-    (Bareiss) elimination with row pivoting."""
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    ctx = None
-    for r in m:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-        for p in r:
-            ctx = ctx or p.ctx
-    assert ctx is not None
-    prev: Optional[Polynomial] = None
-    rank = 0
-    pr = 0
-    for col in range(ncols):
-        piv = next((r for r in range(pr, nrows) if not m[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        for r in range(pr + 1, nrows):
-            for c in range(col + 1, ncols):
-                num = m[pr][col] * m[r][c] - m[r][col] * m[pr][c]
-                m[r][c] = divexact(num, prev) if prev is not None else num
-            m[r][col] = ctx.zero()
-        prev = m[pr][col]
-        rank += 1
-        pr += 1
-        if pr == nrows:
-            break
-    return rank
-
-
-def jacobian_dependence(fs: Sequence[Polynomial]) -> bool:
-    """True when f_1..f_k are algebraically dependent over Q.
-
-    Criterion: the k x nvars Jacobian matrix has rank < k.  (In
-    characteristic zero, dependence is equivalent to the differentials
-    being linearly dependent over the function field.)
-    """
-    if not fs:
-        raise ValueError("empty family")
-    ctx = fs[0].ctx
-    rows = [[f.partial(j) for j in range(ctx.nvars)] for f in fs]
-    return poly_matrix_rank(rows) < len(fs)
-
 
 def rational_nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Basis of the right nullspace of a rational matrix.

@@ -7,15 +7,23 @@ loudly with BudgetExhausted, never silently.
 
 An order's sort key is fixed when the order is built; GREVLEX.key is
 poly.grevlex_key, the key `str()` prints terms by.
+
+Division runs on integers, like the product kernel in poly: each divisor
+is cleared once per call to integer numerators over its denominator, the
+work terms are integer numerators over one common denominator, and a
+Fraction is built once per quotient and remainder term.  Each work
+monomial's key is computed once, when the monomial enters the work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import add, le, sub
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .poly import Monomial, Polynomial, _raw, grevlex_key
+from .poly import Monomial, Polynomial, _cleared, _raw, grevlex_key
 
 DEFAULT_BUDGET = 100_000
 
@@ -47,21 +55,21 @@ class StepBudget:
 # -- exponent tuple helpers --------------------------------------------
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b, assuming divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,15 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     Returns (quotients, remainder) with f == sum(q_i * g_i) + r and no
     remainder monomial divisible by any divisor's leading monomial.
 
+    The reduction runs on integers: each divisor is cleared once to
+    integer numerators (lead L, tail) over its denominator d, and the
+    work terms are integer numerators over one common denominator D.
+    Eliminating a term a/D scales the work and D by L/gcd(a, L), when
+    that is not 1, and subtracts (a/gcd(a, L)) * shift * tail.  Each
+    monomial's order key is computed once, when it enters the work, and
+    dropped when it leaves.  Fractions are built once per quotient and
+    remainder term.
+
     Args:
         f: dividend.
         divisors: nonzero divisors, tried in order at each step.
@@ -140,37 +157,55 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
         if g.is_zero():
             raise ValueError("zero divisor in division")
     ctx = f.ctx
-    lts = [order.leading_term(g) for g in divisors]
-    quotients = [dict() for _ in divisors]
+    lms = [order.leading_monomial(g) for g in divisors]
+    if not any(mono_divides(lm, m) for m in f.terms for lm in lms):
+        return [_raw(ctx, {}) for _ in divisors], f
+    # (L, d, tail) per divisor, cleared when it is first used
+    cleared: List[Optional[tuple]] = [None] * len(divisors)
+    quotients: List[dict] = [{} for _ in divisors]
     remainder: dict = {}
-    work = dict(f.terms)
+    D, items = _cleared(f.terms)
+    work = dict(items)
+    key = order.key
+    keys = {m: key(m) for m in work}
     while work:
-        mono = max(work, key=order.key)
-        coeff = work.pop(mono)
-        for i, (lm, lc) in enumerate(lts):
+        mono = max(work, key=keys.__getitem__)
+        del keys[mono]
+        a = work.pop(mono)
+        for i, lm in enumerate(lms):
             if mono_divides(lm, mono):
                 if budget is not None:
                     budget.spend()
+                if cleared[i] is None:
+                    terms = divisors[i].terms
+                    d, ints = _cleared(terms)
+                    cleared[i] = (int(terms[lm] * d), d,
+                                  [(m, c) for m, c in ints if m != lm])
+                L, d, tail = cleared[i]
                 shift = mono_div(mono, lm)
-                q = coeff / lc
-                qt = quotients[i]
-                s = qt.get(shift, Fraction(0)) + q
-                if s:
-                    qt[shift] = s
-                else:
-                    qt.pop(shift, None)
-                for gm, gc in divisors[i].terms.items():
-                    if gm == lm:
-                        continue
-                    tm = mono_mul(shift, gm)
-                    s = work.get(tm, Fraction(0)) - q * gc
-                    if s:
-                        work[tm] = s
+                quotients[i][shift] = Fraction(a * d, D * L)
+                g = gcd(a, L)
+                scale = L // g
+                if scale != 1:
+                    D *= scale
+                    for m in work:
+                        work[m] *= scale
+                a //= g
+                for m, c in tail:
+                    tm = tuple(map(add, shift, m))
+                    v = work.get(tm)
+                    if v is None:
+                        work[tm] = -a * c
+                        keys[tm] = key(tm)
                     else:
-                        work.pop(tm, None)
+                        v -= a * c
+                        if v:
+                            work[tm] = v
+                        else:
+                            del work[tm], keys[tm]
                 break
         else:
-            remainder[mono] = coeff
+            remainder[mono] = Fraction(a, D) if D != 1 else Fraction(a)
     return [_raw(ctx, q) for q in quotients], _raw(ctx, remainder)
 
 

@@ -11,9 +11,9 @@ Grammar, loosest binding first:
 so '^' binds tighter than multiplication, which binds tighter than unary
 minus, which binds tighter than binary '+'/'-'.  '/' only forms rational
 literals from two integer tokens.  Exponents are non-negative integers;
-a power that may have more than MAX_POWER_TERMS terms, or more than
-MAX_POWER_BITS coefficient bits in all, raises BudgetExhausted before it
-is computed.
+a power that may have more than MAX_POWER_TERMS terms, or a power or
+product that may have more than MAX_POWER_BITS coefficient bits in all,
+raises BudgetExhausted before it is computed.
 
 An identifier is a letter, optional digits, and at most one trailing
 prime: x, e2, x'.  A maximal alphanumeric run lexes greedily into such
@@ -39,9 +39,9 @@ from .poly import Polynomial, VarContext
 # a larger power fails before any arithmetic.
 MAX_POWER_TERMS = 2_000
 # Largest bound on terms times bits per coefficient (see
-# _coefficient_bits_bound) that a '^' may reach.  The product cost grows
-# with coefficient size as well as term count; the largest powers under
-# both bounds, such as (x+y+z)^61, (x+y)^815 and
+# _coefficient_bits) that a '^' or a '*' may reach.  The product cost
+# grows with coefficient size as well as term count; the largest powers
+# under both bounds, such as (x+y+z)^61, (x+y)^815 and
 # (9999999*x+7777777/3*y)^266, each take 0.3-0.4 s on a 2-core Xeon VM.
 MAX_POWER_BITS = 2_000_000
 
@@ -166,11 +166,16 @@ class _Parser:
             t = self.peek()
             if t.kind == "*":
                 self.advance()
-                acc = acc * self.factor()
-            elif t.kind in ("ident", "("):
-                acc = acc * self.factor()
-            else:
+            elif t.kind not in ("ident", "("):
                 return acc
+            rhs = self.factor()
+            # at most t_a * t_b terms, and at most C(n + d, n) of degree
+            # d = d_a + d_b or less (a zero factor has degree -1)
+            n, d = acc.ctx.nvars, acc.total_degree() + rhs.total_degree()
+            terms = min(acc.num_terms() * rhs.num_terms(), comb(n + max(d, 0), n))
+            _check_bits(f"product at offset {t.pos}",
+                        terms * (_coefficient_bits(acc) + _coefficient_bits(rhs)))
+            acc = acc * rhs
 
     def factor(self) -> Polynomial:
         base = self.atom()
@@ -186,11 +191,7 @@ class _Parser:
                 raise BudgetExhausted(
                     f"power at offset {t.pos} may have up to {bound} terms "
                     f"(limit {MAX_POWER_TERMS})")
-            size = bound * _coefficient_bits_bound(base, e)
-            if size > MAX_POWER_BITS:
-                raise BudgetExhausted(
-                    f"power at offset {t.pos} may have up to {size} coefficient "
-                    f"bits (limit {MAX_POWER_BITS})")
+            _check_bits(f"power at offset {t.pos}", bound * e * _coefficient_bits(base))
             return base ** e
         return base
 
@@ -240,20 +241,29 @@ def _power_terms_bound(base: Polynomial, e: int) -> int:
     return min(comb(t - 1 + e, e), comb(n + d * e, n))
 
 
-def _coefficient_bits_bound(base: Polynomial, e: int) -> int:
-    """Upper bound on the bits of one coefficient of base**e.
+def _coefficient_bits(p: Polynomial) -> int:
+    """Bits of p's coefficient scale, additive over products.
 
-    Write base as (1/D) * sum of its t terms with integer numerators of
-    size at most N, D the lcm of its denominators.  Every coefficient of
-    base**e is then a / D^e with |a| <= (t*N)^e, so numerator and
-    denominator take at most e * (bits(t*N) + bits(D)) bits together.
+    Write p as (1/D) * sum of its t terms with integer numerators of size
+    at most N, D the lcm of its denominators, and let
+    bits(p) = bits(t*N) + bits(D).  Every coefficient of p**e is a / D^e
+    with |a| <= (t*N)^e, and every coefficient of p*q is a / (D_p*D_q)
+    with |a| <= t_p*N_p * t_q*N_q, so numerator and denominator take at
+    most e * bits(p), or bits(p) + bits(q), bits together.
     """
-    cs = base.terms.values()
+    cs = p.terms.values()
     if not cs:
         return 0
     d = lcm(*(c.denominator for c in cs))
     n = max(abs(c.numerator) * (d // c.denominator) for c in cs)
-    return e * ((len(cs) * n).bit_length() + d.bit_length())
+    return (len(cs) * n).bit_length() + d.bit_length()
+
+
+def _check_bits(what: str, size: int) -> None:
+    """Refuse a power or product bounded by more than MAX_POWER_BITS bits."""
+    if size > MAX_POWER_BITS:
+        raise BudgetExhausted(f"{what} may have up to {size} coefficient "
+                              f"bits (limit {MAX_POWER_BITS})")
 
 
 def parse_polynomial(src: str, ctx: VarContext) -> Polynomial:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, neg
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
@@ -103,7 +103,7 @@ def context(*names: str) -> VarContext:
 def grevlex_key(mono: Monomial) -> tuple:
     """Grevlex key, also GREVLEX.key: total degree first, then the rightmost
     differing exponent, smaller winning.  Larger key, larger monomial."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
 class Polynomial:

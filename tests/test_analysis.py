@@ -12,17 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlie.analysis import (NotHomogeneous, center_membership, center_probe,
-                           is_closed_homogeneous, jacobian_dependence,
-                           kth_root, minimal_root_homogeneous,
-                           poly_matrix_rank, rational_nullspace,
+                           is_closed_homogeneous, kth_root,
+                           minimal_root_homogeneous, rational_nullspace,
                            saturate_poisson_ideal)
 from nlie.brackets import random_homogeneous, random_polynomial
 from nlie.groebner import GREVLEX
 from nlie.parser import parse_polynomial
 from nlie.poly import Polynomial, VarContext, context
 from nlie.quotient import QuotientContext
-from nlie.structures import (make_elliptic, make_malcev_splittable,
-                             make_nlie, make_quadric, make_sl2)
+from nlie.structures import (make_elliptic, make_malcev_canonical,
+                             make_malcev_splittable, make_nlie, make_quadric,
+                             make_sl2)
 
 XY = context("x", "y")
 XYZ = context("x", "y", "z")
@@ -179,21 +179,6 @@ def test_closedness_matches_factor_list(c):
 # -- exact linear algebra ----------------------------------------------
 
 
-def test_poly_matrix_rank():
-    x, y, z = XYZ.gens()
-    assert poly_matrix_rank([(x, y), (z, x)]) == 2
-    assert poly_matrix_rank([(x, y), (2 * x, 2 * y)]) == 1
-    assert poly_matrix_rank([(XYZ.zero(), XYZ.zero())]) == 0
-
-
-def test_jacobian_dependence():
-    x, y, z = XYZ.gens()
-    assert jacobian_dependence([x ** 2, y ** 2, x ** 2 + y ** 2])
-    assert jacobian_dependence([x + y, (x + y) ** 2])
-    assert not jacobian_dependence([x, y, z])
-    assert not jacobian_dependence([x, y ** 2])
-
-
 def test_rational_nullspace():
     rows = [[1, 2, 3], [2, 4, 6]]
     basis = rational_nullspace([[Fraction(v) for v in r] for r in rows], 3)
@@ -256,6 +241,19 @@ def test_center_probe_quotient_is_constants():
     assert probe.mode == "quotient"
     assert probe.dimension == 1
     assert [str(p) for p in probe.basis] == ["1"]
+
+
+@pytest.mark.parametrize("make", [make_malcev_canonical, make_malcev_splittable])
+def test_malcev_quotient_centers_are_constants(make):
+    # the paper's theorem: P(M)/(C - lambda) is central for the seven
+    # dimensional Malcev algebra M and every nonzero lambda
+    spec = make()
+    for lam in (1, -2, Fraction(3, 2)):
+        qctx = QuotientContext.create(spec.bracket, lam, casimir=spec.casimir)
+        probe = center_probe(spec.bracket, 3, qctx)
+        assert probe.mode == "quotient"
+        assert probe.dimension == 1
+        assert [str(p) for p in probe.basis] == ["1"]
 
 
 def test_center_probe_degenerate_form_sees_radical():

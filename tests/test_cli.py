@@ -191,6 +191,16 @@ def test_power_term_bound_exits_3(capsys):
     assert code == 0 and doc["data"]["result"] == "-100000*x^99999"
 
 
+def test_product_bound_exits_3(capsys):
+    # each factor passes both power bounds, but their product (7,626
+    # terms from 3.8M term pairs) took seconds: refused before it is formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "root", "--k", "2", "(x+y+z)^61*(x+y+z)^61")
+    assert code == 3 and out == ""
+    assert "product at offset 10" in err and "coefficient bits" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_center_huge_degree_exits_3(capsys):
     # C(7 + 10, 7) = 19,448 unknowns: refused before any is built
     start = time.perf_counter()

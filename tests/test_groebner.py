@@ -5,6 +5,7 @@ a test dependency only.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -271,3 +272,42 @@ def test_normal_form_matches_sympy(gen_terms, f, perm):
                                     *sympy.symbols(syms), order=name, domain="QQ")
         ours = normal_form(f, basis.generators, order)
         assert sympy.expand(expected - to_sympy(ours)) == 0, order
+
+
+# -- division against sympy --------------------------------------------------
+
+# Mixed denominators, and no positive integers: every leading
+# coefficient, whatever the order, is negative or fractional, so the
+# integer kernel has to rescale its work terms.
+_FRACTION = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+_DIVIDEND = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _FRACTION,
+                            min_size=1, max_size=6)
+_DIVISOR = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                           _FRACTION.filter(lambda c: c < 0 or c.denominator > 1),
+                           min_size=1, max_size=4)
+
+
+@NF_PROPERTY
+@given(_DIVIDEND.map(lambda t: Polynomial(XYZ, t)),
+       st.lists(_DIVISOR.map(lambda t: Polynomial(XYZ, t)), min_size=1, max_size=3),
+       st.permutations([0, 1, 2]).map(tuple))
+def test_divide_matches_sympy(f, divisors, perm):
+    # sympy.reduced runs the same division (leading term first, first
+    # divisible divisor wins), so quotients and remainder must agree.
+    for order, name, syms in [(GREVLEX, "grevlex", "x y z"), (LEX, "lex", "x y z"),
+                              (MonomialOrder("grevlex", perm), "grevlex",
+                               " ".join(XYZ.names[i] for i in perm))]:
+        budget = StepBudget(DEFAULT_BUDGET)
+        qs, r = divide(f, divisors, order, budget)
+        assert sum((q * g for q, g in zip(qs, divisors)), XYZ.zero()) + r == f
+        lead = [order.leading_monomial(g) for g in divisors]
+        assert not any(mono_divides(lm, m) for m in r.terms for lm in lead)
+        for p in qs + [r]:
+            assert all(type(c) is Fraction and c for c in p.terms.values())
+        expected_qs, expected_r = sympy.reduced(
+            to_sympy(f), [to_sympy(g) for g in divisors], *sympy.symbols(syms),
+            order=name, domain="QQ")
+        for q, expected in zip(qs + [r], list(expected_qs) + [expected_r]):
+            assert sympy.expand(expected - to_sympy(q)) == 0, order
+        # one step per single-term elimination: one per quotient term
+        assert budget.used == sum(len(q.terms) for q in qs)

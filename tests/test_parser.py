@@ -124,3 +124,15 @@ def test_power_term_bound():
         parse("(x*y + y*z + x*z + x + y + z + 1)^30")
     assert parse("(x - x)^1000000").is_zero()
     assert parse("(2*x)^1000") == XYZ.constant(2 ** 1000) * XYZ.variable("x") ** 1000
+
+
+def test_product_bits_bound():
+    # (x+y)^400 has 401 terms of about 400 bits; the square of it may
+    # have 160,801 terms of 814 bits, far over MAX_POWER_BITS
+    with pytest.raises(BudgetExhausted, match="product at offset 9"):
+        parse("(x+y)^400*(x+y)^400")
+    with pytest.raises(BudgetExhausted, match="product at offset 10"):
+        parse("(x+y)^400 (x+y)^400")
+    assert parse("(x+y)^815*(x+y)").num_terms() == 817
+    assert parse("(x+y+z)^61*2").num_terms() == 1953
+    assert parse("(x - x)*(x - x)").is_zero()
