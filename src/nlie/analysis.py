@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .brackets import poly_det
 from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
 from .poly import Polynomial, VarContext, poly_from_terms
 from .quotient import QuotientContext
@@ -251,8 +252,8 @@ def center_membership_jacobian(bracket, f: Polynomial,
     """Centrality of f for a Jacobian bracket via 2x2 minors.
 
     f is central iff every minor df/dx_i * dC/dx_j - df/dx_j * dC/dx_i
-    vanishes (reduced in the quotient when qctx is given).  Returns the
-    verdict and the offending (i, j, minor) triples.
+    of the rows (df, dC) vanishes (reduced in the quotient when qctx is
+    given).  Returns the verdict and the offending (i, j, minor) triples.
     """
     c_poly = bracket.casimir
     ctx = c_poly.ctx
@@ -263,7 +264,7 @@ def center_membership_jacobian(bracket, f: Polynomial,
     witnesses = []
     for i in range(ctx.nvars):
         for j in range(i + 1, ctx.nvars):
-            minor = df[i] * dc[j] - df[j] * dc[i]
+            minor = poly_det((df, dc), ctx, (i, j))
             if qctx is not None:
                 minor = qctx.reduce(minor)
             if not minor.is_zero():

@@ -2,7 +2,12 @@
 
 Both bracket constructions are sums of n x n minors of the arguments,
 sum over keys I of det(df_a/dx_{I_b}) * c_I, and share one kernel that
-evaluates that sum over a precomputed list of nonzero coefficients:
+evaluates that sum over a precomputed list of nonzero coefficients.  The
+kernel runs on integers: each argument is cleared once to integer
+numerators over its denominator d_a, the c_I once per bracket over one
+common denominator E, minors come from one integer Laplace expansion
+(`_int_det`) and products from poly's `_int_mul`, and each term of the
+result becomes one Fraction over E * prod(d_a).
 
 * JacobianBracket: the n-ary bracket on K[x_1..x_{n+1}] given by the
   Jacobian determinant {f_1,...,f_n} = det d(f_1,...,f_n,C)/dx with a
@@ -13,9 +18,10 @@ evaluates that sum over a precomputed list of nonzero coefficients:
   generators to a multiderivation of the polynomial algebra; c_I is the
   product [e_{i_1},...,e_{i_n}] on each increasing index tuple I.
 
-`jacobian` takes the full determinant without the kernel and is the
-independent reference for it; the property tests in tests/test_brackets.py
-compare both brackets against it and `jacobian` against sympy.
+`poly_det` clears each row of a polynomial matrix once and runs the same
+integer determinant; `jacobian` is the full determinant through it.  As
+all of these share one determinant, the property tests in
+tests/test_brackets.py check them against sympy.
 
 Every identity verifier, and QuotientContext.verify_grading, runs
 through one driver, `_run_checks`: a deterministic generator-tuple phase
@@ -33,9 +39,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import Monomial, Polynomial, VarContext
+from .poly import Monomial, Polynomial, VarContext, _cleared, _from_ints, _int_mul
 
 MAX_STORED_FAILURES = 12
 
@@ -44,16 +51,59 @@ class ArityMismatch(ValueError):
     """Raised when a bracket receives the wrong number of arguments."""
 
 
+# An integer polynomial is a list of (monomial, int) pairs with distinct
+# monomials; an integer row maps a column to its nonzero entry, and a
+# missing column is zero.
+_IntPoly = List[Tuple[Monomial, int]]
+_IntRow = Dict[int, _IntPoly]
+# The cleared coefficients of a bracket: one common denominator E and,
+# for each nonzero c_I, the key I, its bit mask sum(1 << i for i in I)
+# and the integer numerators of c_I over E.
+_IntCoeffs = Tuple[int, Tuple[Tuple[Tuple[int, ...], int, _IntPoly], ...]]
+
+
+def _int_det(rows: Sequence[_IntRow], cols: Tuple[int, ...],
+             memo: Dict[Tuple[int, ...], _IntPoly]) -> _IntPoly:
+    """Determinant of the columns `cols` of the last len(cols) integer rows.
+
+    Laplace expansion along rows, memoized in `memo` on the surviving
+    column set; minors of the same rows may share one memo, so that the
+    sub-minors they have in common are computed once.  The result has no
+    zero coefficient.
+    """
+    last = rows[-1]
+    if len(cols) == 1:
+        return last.get(cols[0], [])
+    got = memo.get(cols)
+    if got is not None:
+        return got
+    row = rows[len(rows) - len(cols)]
+    out: Dict[Monomial, int] = {}
+    for k, c in enumerate(cols):
+        entry = row.get(c)
+        if entry is None:
+            continue
+        rest = cols[:k] + cols[k + 1:]
+        # a 1x1 sub-minor is an entry of the last row
+        sub = last.get(rest[0]) if len(rest) == 1 else _int_det(rows, rest, memo)
+        if sub:
+            if k % 2:
+                entry = [(m, -v) for m, v in entry]
+            _int_mul(entry, sub, out)
+    got = [(m, v) for m, v in out.items() if v]
+    memo[cols] = got
+    return got
+
+
 def poly_det(rows: Sequence[Sequence[Polynomial]], ctx: VarContext,
-             cols: Optional[Tuple[int, ...]] = None,
-             memo: Optional[Dict[Tuple[int, ...], Polynomial]] = None) -> Polynomial:
+             cols: Optional[Tuple[int, ...]] = None) -> Polynomial:
     """Determinant of a square matrix of polynomials, or of one minor.
 
     With `cols`, the determinant of the columns `cols` of the n-row
-    matrix `rows`.  1x1 and 2x2 matrices are computed directly; larger
-    ones by Laplace expansion along rows with memoization on the
-    surviving column set.  Minors of the same rows may share one `memo`,
-    so that the sub-minors they have in common are computed once.
+    matrix `rows`.  Each row is cleared once to integer numerators over
+    the lcm of its denominators; the integer determinant is the Laplace
+    expansion the brackets use, and each of its terms is divided by the
+    product of the row denominators once.  The 0x0 determinant is one.
     """
     n = len(rows)
     if cols is None:
@@ -65,42 +115,22 @@ def poly_det(rows: Sequence[Sequence[Polynomial]], ctx: VarContext,
         raise ValueError("determinant of a non-square minor")
     if n == 0:
         return ctx.one()
-    if n == 1:
-        return rows[0][cols[0]]
-    if n == 2:
-        i, j = cols
-        a, b = rows[0][i], rows[0][j]
-        c, d = rows[1][i], rows[1][j]
-        det = a * d if a and d else ctx.zero()
-        return det - b * c if b and c else det
-    if memo is None:
-        memo = {}
-
-    def rec(cols: Tuple[int, ...]) -> Polynomial:
-        r = n - len(cols)
-        if not cols:
-            return ctx.one()
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        acc = ctx.zero()
-        for k, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            term = entry * rec(cols[:k] + cols[k + 1:])
-            acc = acc + term if k % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return rec(cols)
+    cols = tuple(cols)
+    int_rows = []
+    denom = 1
+    for row in rows:
+        entries = {c: row[c].terms for c in cols if row[c]}
+        d = lcm(*[q.denominator for t in entries.values() for q in t.values()])
+        denom *= d
+        int_rows.append({c: _cleared(t, d)[1] for c, t in entries.items()})
+    return _from_ints(ctx, _int_det(int_rows, cols, {}), denom)
 
 
 def jacobian(fs: Sequence[Polynomial]) -> Polynomial:
     """Jacobian determinant of nvars polynomials in their context.
 
-    The full determinant, independent of the minor expansion the bracket
-    classes use; tests compare the two.
+    The full determinant by `poly_det`; the property tests check it,
+    and both brackets, against sympy.
     """
     if not fs:
         raise ValueError("jacobian of an empty family")
@@ -115,27 +145,60 @@ def jacobian(fs: Sequence[Polynomial]) -> Polynomial:
     return poly_det(rows, ctx)
 
 
-def _minor_expansion(fs: Sequence[Polynomial],
-                     coeffs: Iterable[Tuple[Tuple[int, ...], Polynomial]],
-                     ctx: VarContext) -> Polynomial:
-    """Sum of det(df_a/dx_{I_b}) * c_I over the (I, c_I) pairs in coeffs.
+def _int_partials(items: _IntPoly) -> _IntRow:
+    """The nonzero partials of an integer polynomial, keyed by variable.
 
-    Partials are taken only in the variables each argument uses, and a
-    key I is skipped when some argument uses none of its variables,
-    since that minor has a zero row.
+    Only the variables it uses get an entry.  Distinct monomials have
+    distinct partials in one variable, so no sum can cancel.
     """
-    grads = [{j: f.partial(j) for j in f.variables_used()} for f in fs]
-    zero = ctx.zero()
-    rows = [[grad.get(j, zero) for j in range(ctx.nvars)] for grad in grads]
-    memo: Dict[Tuple[int, ...], Polynomial] = {}
-    acc = zero
-    for idxs, coeff in coeffs:
-        if any(grad.keys().isdisjoint(idxs) for grad in grads):
-            continue
-        minor = poly_det(rows, ctx, idxs, memo)
-        if minor:
-            acc = acc + minor * coeff
-    return acc
+    grads: _IntRow = {}
+    for mono, c in items:
+        for j, e in enumerate(mono):
+            if e:
+                grads.setdefault(j, []).append((mono[:j] + (e - 1,) + mono[j + 1:], c * e))
+    return grads
+
+
+def _cleared_coeffs(coeffs: Iterable[Tuple[Tuple[int, ...], Polynomial]]) -> _IntCoeffs:
+    """The nonzero c_I of a bracket over their one common denominator E."""
+    coeffs = [(idxs, c.terms) for idxs, c in coeffs if c]
+    E = lcm(*[q.denominator for _, t in coeffs for q in t.values()])
+    return E, tuple((idxs, sum(1 << i for i in idxs), _cleared(t, E)[1])
+                    for idxs, t in coeffs)
+
+
+def _minor_expansion(fs: Sequence[Polynomial], coeffs: _IntCoeffs,
+                     ctx: VarContext) -> Polynomial:
+    """Sum of det(df_a/dx_{I_b}) * c_I over the cleared coefficients.
+
+    Each argument is cleared once to integer numerators over its
+    denominator d_a, and its partials are taken on those, only in the
+    variables it uses.  A key I is skipped when some argument uses none
+    of its variables, since that minor has a zero row.  The minors and
+    their products with the c_I sum as ints; each term of the result is
+    divided by E * prod(d_a) once.
+    """
+    E, keyed = coeffs
+    denom = E
+    rows = []
+    masks = []  # the variables each argument uses, as a bit mask
+    for f in fs:
+        d, items = _cleared(f.terms)
+        denom *= d
+        row = _int_partials(items)
+        rows.append(row)
+        masks.append(sum(1 << j for j in row))
+    memo: Dict[Tuple[int, ...], _IntPoly] = {}
+    acc: Dict[Monomial, int] = {}
+    for idxs, key_mask, coeff in keyed:
+        for mask in masks:
+            if not mask & key_mask:
+                break
+        else:
+            minor = _int_det(rows, idxs, memo)
+            if minor:
+                _int_mul(minor, coeff, acc)
+    return _from_ints(ctx, acc.items(), denom)
 
 
 def _check_args(bracket, fs: Sequence[Polynomial]) -> None:
@@ -143,7 +206,7 @@ def _check_args(bracket, fs: Sequence[Polynomial]) -> None:
         raise ArityMismatch(f"bracket takes {bracket.arity} arguments, got {len(fs)}")
     ctx = bracket.ctx
     for f in fs:
-        if f.ctx != ctx:
+        if f.ctx is not ctx and f.ctx != ctx:
             raise ValueError("bracket argument from the wrong context")
 
 
@@ -157,18 +220,19 @@ class JacobianBracket:
     """
 
     casimir: Polynomial
-    _coeffs: Tuple[Tuple[Tuple[int, ...], Polynomial], ...] = field(
-        init=False, repr=False, compare=False)
+    _coeffs: _IntCoeffs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, nv = self.arity, self.ctx.nvars
+        if nv < 2:
+            raise ValueError(f"Jacobian bracket over {self.ctx}: a Jacobian "
+                             f"bracket needs at least two variables")
         coeffs = []
         for k in range(nv):
             dc = self.casimir.partial(k)
-            if dc:
-                key = tuple(j for j in range(nv) if j != k)
-                coeffs.append((key, dc if (n + k) % 2 == 0 else -dc))
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
+            key = tuple(j for j in range(nv) if j != k)
+            coeffs.append((key, dc if (n + k) % 2 == 0 else -dc))
+        object.__setattr__(self, "_coeffs", _cleared_coeffs(coeffs))
 
     @property
     def ctx(self) -> VarContext:
@@ -188,10 +252,16 @@ class TableBracket:
     """Multiderivation extension of a structure-constant table.
 
     `table` provides .ctx, .arity and .constants, a map from strictly
-    increasing index tuples to their nonzero products.
+    increasing index tuples to their nonzero products, cleared once
+    here for the kernel.
     """
 
     table: object
+    _coeffs: _IntCoeffs = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_coeffs",
+                           _cleared_coeffs(self.table.constants.items()))
 
     @property
     def ctx(self) -> VarContext:
@@ -203,7 +273,7 @@ class TableBracket:
 
     def __call__(self, *fs: Polynomial) -> Polynomial:
         _check_args(self, fs)
-        return _minor_expansion(fs, self.table.constants.items(), self.ctx)
+        return _minor_expansion(fs, self._coeffs, self.ctx)
 
 
 def ternary_jacobian(bracket, a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:

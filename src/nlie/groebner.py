@@ -6,7 +6,9 @@ computations are metered by an explicit reduction-step budget and fail
 loudly with BudgetExhausted, never silently.
 
 An order's sort key is fixed when the order is built; GREVLEX.key is
-poly.grevlex_key, the key `str()` prints terms by.
+poly.grevlex_key, the key `str()` prints terms by.  A polynomial keeps
+the leading monomial of the last order that asked for it, so a divisor
+used on every division has its leading monomial found once.
 
 Division runs on integers, like the product kernel in poly: each divisor
 is cleared once per call to integer numerators over its denominator, the
@@ -105,7 +107,13 @@ class MonomialOrder:
         if self.perm is not None and len(self.perm) != p.ctx.nvars:
             raise ValueError(f"perm {self.perm} does not fit the "
                              f"{p.ctx.nvars} variables of {p.ctx}")
-        return max(p.terms, key=self.key)
+        # p._lead caches the answer for the last order that asked
+        cached = p._lead
+        if cached is not None and cached[0] is self:
+            return cached[1]
+        m = max(p.terms, key=self.key)
+        object.__setattr__(p, "_lead", (self, m))
+        return m
 
     def leading_term(self, p: Polynomial) -> Tuple[Monomial, Fraction]:
         m = self.leading_monomial(p)

@@ -10,11 +10,13 @@ non-negative ints, and every monomial tuple has exactly one entry per
 context variable.  Two polynomials are equal iff their contexts and term
 maps are equal.
 
-Products (and so powers, determinants, brackets and substitution) run
-on cleared denominators: each operand is written once as integer
-numerators over the lcm d of its denominators, the term pairs sum as
-plain ints, and each surviving sum is divided by d_a * d_b once at the
-end.  No Fraction is built or normalised inside the pair loop.
+Products (and so powers and substitution) run on cleared denominators:
+each operand is written once as integer numerators over the lcm d of
+its denominators, the term pairs sum as plain ints in `_int_mul`, and
+each surviving sum is divided by d_a * d_b once at the end.  No Fraction
+is built or normalised inside the pair loop.  The bracket kernel and
+the determinants in nlie.brackets call the same `_int_mul` on their own
+cleared numerators and never build an intermediate Polynomial.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, neg
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import (Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 Monomial = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -111,9 +114,13 @@ class Polynomial:
 
     `terms` maps exponent tuples to nonzero Fractions.  Instances are
     hashable and safe to use as dict keys or set members.
+
+    `_hash` caches the hash and `_lead` the (order, leading monomial)
+    pair of the last MonomialOrder that asked; equality and hashing
+    ignore both.
     """
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms", "_hash", "_lead")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Scalar]):
         clean: Dict[Monomial, Fraction] = {}
@@ -129,6 +136,7 @@ class Polynomial:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
@@ -223,16 +231,7 @@ class Polynomial:
             a, b = b, a
         da, ia = _cleared(a)
         db, ib = _cleared(b)
-        out: Dict[Monomial, int] = {}
-        get = out.get
-        for ma, ca in ia:
-            for mb, cb in ib:
-                mono = tuple(map(add, ma, mb))
-                out[mono] = get(mono, 0) + ca * cb
-        d = da * db
-        if d == 1:
-            return _raw(self.ctx, {m: Fraction(v) for m, v in out.items() if v})
-        return _raw(self.ctx, {m: Fraction(v, d) for m, v in out.items() if v})
+        return _from_ints(self.ctx, _int_mul(ia, ib, {}).items(), da * db)
 
     __rmul__ = __mul__
 
@@ -390,13 +389,39 @@ class Polynomial:
         return f"Polynomial({self.ctx}, {format_polynomial(self)})"
 
 
-def _cleared(terms: Dict[Monomial, Fraction]) -> Tuple[int, List[Tuple[Monomial, int]]]:
-    # (d, [(mono, c*d)]) with d the lcm of the denominators, so every
-    # c*d is an int.
-    d = lcm(*[c.denominator for c in terms.values()])
+def _cleared(terms: Mapping[Monomial, Fraction],
+             d: Optional[int] = None) -> Tuple[int, List[Tuple[Monomial, int]]]:
+    # (d, [(mono, c*d)]) with d the lcm of the denominators, or the given
+    # common multiple of them, so every c*d is an int.
+    if d is None:
+        d = lcm(*[c.denominator for c in terms.values()])
     if d == 1:
         return 1, [(m, c.numerator) for m, c in terms.items()]
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
+def _from_ints(ctx: VarContext, items: Iterable[Tuple[Monomial, int]],
+               d: int) -> Polynomial:
+    # The polynomial with terms v/d for the nonzero v of the (mono, v)
+    # pairs in items, whose monomials are distinct.
+    if d == 1:
+        return _raw(ctx, {m: Fraction(v) for m, v in items if v})
+    return _raw(ctx, {m: Fraction(v, d) for m, v in items if v})
+
+
+def _int_mul(a: Iterable[Tuple[Monomial, int]], b: Collection[Tuple[Monomial, int]],
+             out: Dict[Monomial, int]) -> Dict[Monomial, int]:
+    """Add the product of two integer term lists into out and return it.
+
+    The one integer pair loop behind every product; b is walked once per
+    term of a.  Sums that cancel stay in out as 0; the caller drops them.
+    """
+    get = out.get
+    for ma, ca in a:
+        for mb, cb in b:
+            mono = tuple(map(add, ma, mb))
+            out[mono] = get(mono, 0) + ca * cb
+    return out
 
 
 def _raw(ctx: VarContext, terms: Dict[Monomial, Fraction]) -> Polynomial:
@@ -405,6 +430,7 @@ def _raw(ctx: VarContext, terms: Dict[Monomial, Fraction]) -> Polynomial:
     object.__setattr__(p, "ctx", ctx)
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_lead", None)
     return p
 
 

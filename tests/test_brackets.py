@@ -1,8 +1,9 @@
 """Jacobian and table brackets plus the identity verifiers.
 
-Both bracket classes evaluate one minor expansion; the property tests at
-the end check it against the full determinant `jacobian`, and that
-against sympy, so the reference does not share the code it checks.
+Both bracket classes, `poly_det` and `jacobian` share one integer
+determinant, so the property tests at the end check them against sympy,
+which shares no code with them, on integer and on mixed-denominator
+Fraction coefficients.
 """
 
 import random
@@ -29,6 +30,14 @@ def test_poly_det():
     rows = [[x, y], [ctx.one(), x]]
     assert poly_det(rows, ctx) == x ** 2 - y
     assert poly_det([[x]], ctx) == x
+    top, bottom = [x, y, ctx.one()], [y, x, x]
+    assert poly_det([top, [ctx.zero()] * 3, bottom], ctx).is_zero()
+    assert poly_det([top, bottom], ctx, (0, 2)) == x ** 2 - y
+    assert poly_det([], ctx) == ctx.one()  # the 0x0 determinant
+    with pytest.raises(ValueError, match="non-square matrix"):
+        poly_det([[x, y]], ctx)
+    with pytest.raises(ValueError, match="non-square minor"):
+        poly_det([[x, y], [y, x]], ctx, (0,))
 
 
 def test_jacobian_determinant():
@@ -157,6 +166,9 @@ def test_report_trial_accounting():
 PROPERTY = settings(max_examples=60, deadline=None)
 
 _coeffs = st.integers(-6, 6).filter(bool)
+# mixed denominators, so that entries, arguments and the c_I of one
+# bracket are cleared over different ones
+_fractions = st.builds(Fraction, _coeffs, st.sampled_from([1, 2, 3, 4, 5, 6, 7]))
 
 
 def _ctx(nvars):
@@ -164,12 +176,12 @@ def _ctx(nvars):
 
 
 @st.composite
-def polynomials(draw, ctx, max_exp=2, max_terms=4):
+def polynomials(draw, ctx, max_exp=2, max_terms=4, coeffs=_coeffs):
     """Sparse nonzero polynomials; about one draw in five is a constant."""
     if draw(st.integers(0, 4)) == 0:
-        return ctx.constant(draw(st.integers(-6, 6)))
+        return ctx.constant(draw(st.just(0) | coeffs))
     monos = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
-    return Polynomial(ctx, draw(st.dictionaries(monos, _coeffs, min_size=1,
+    return Polynomial(ctx, draw(st.dictionaries(monos, coeffs, min_size=1,
                                                 max_size=max_terms)))
 
 
@@ -177,6 +189,18 @@ def _to_sympy(p, syms):
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * sympy.Mul(*[s ** e for s, e in zip(syms, mono)])
                 for mono, c in p.terms.items()), sympy.Integer(0))
+
+
+def _sympy_jacobian(fs):
+    """sympy's determinant of the Jacobian matrix of fs, and its symbols."""
+    syms = sympy.symbols(fs[0].ctx.names)
+    exprs = [_to_sympy(f, syms) for f in fs]
+    return sympy.Matrix([[sympy.diff(e, s) for s in syms]
+                         for e in exprs]).det(), syms
+
+
+def _assert_canonical(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
 
 
 @PROPERTY
@@ -188,32 +212,70 @@ def test_jacobian_bracket_matches_full_determinant(polys):
 
 
 @PROPERTY
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda n: st.tuples(
+    *[polynomials(_ctx(n + 1), max_terms=3 if n < 4 else 2,
+                  coeffs=_fractions)] * (n + 1))))
+def test_jacobian_bracket_matches_sympy_on_fractions(polys):
+    *fs, casimir = polys
+    got = JacobianBracket(casimir)(*fs)
+    _assert_canonical(got)
+    expected, syms = _sympy_jacobian(polys)
+    assert sympy.expand(expected - _to_sympy(got, syms)) == 0
+
+
+@PROPERTY
 @given(st.integers(1, 3).flatmap(
     lambda nv: st.lists(polynomials(_ctx(nv)), min_size=nv, max_size=nv)))
 def test_jacobian_matches_sympy_det(fs):
-    syms = sympy.symbols(fs[0].ctx.names)
-    exprs = [_to_sympy(f, syms) for f in fs]
-    expected = sympy.Matrix([[sympy.diff(e, s) for s in syms]
-                             for e in exprs]).det()
+    expected, syms = _sympy_jacobian(fs)
     assert sympy.expand(expected - _to_sympy(jacobian(fs), syms)) == 0
 
 
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(polynomials(_ctx(2), max_terms=3, coeffs=_fractions),
+                      min_size=n + 1, max_size=n + 1),
+             min_size=n, max_size=n),
+    st.permutations(range(n + 1)).map(lambda p: tuple(p[:n])))))
+def test_poly_det_minor_matches_sympy(case):
+    # n rows of n + 1 entries; cols picks n of them, in any order
+    rows, cols = case
+    ctx = rows[0][0].ctx
+    syms = sympy.symbols(ctx.names)
+    expected = sympy.Matrix([[_to_sympy(row[c], syms) for c in cols]
+                             for row in rows]).det()
+    got = poly_det(rows, ctx, cols)
+    _assert_canonical(got)
+    assert sympy.expand(expected - _to_sympy(got, syms)) == 0
+
+
 @st.composite
-def quadratic_forms(draw):
+def quadratic_forms(draw, denominators):
     ctx = _ctx(draw(st.integers(3, 4)))
     n = ctx.nvars
     monos = [tuple(int(k == i) + int(k == j) for k in range(n))
              for i in range(n) for j in range(i, n)]
     terms = draw(st.lists(st.integers(-4, 4), min_size=len(monos),
                           max_size=len(monos)).filter(any))
-    return Polynomial(ctx, dict(zip(monos, map(Fraction, terms))))
+    return Polynomial(ctx, {m: Fraction(t, draw(denominators))
+                            for m, t in zip(monos, terms)})
 
 
 @PROPERTY
-@given(quadratic_forms().flatmap(lambda form: st.tuples(
-    st.just(form),
-    st.lists(polynomials(form.ctx), min_size=form.ctx.nvars - 1,
-             max_size=form.ctx.nvars - 1))))
+@given(quadratic_forms(st.sampled_from([1, 2, 3, 5])).flatmap(
+    lambda form: st.tuples(
+        st.just(form),
+        st.lists(polynomials(form.ctx, coeffs=_fractions),
+                 min_size=form.ctx.nvars - 1, max_size=form.ctx.nvars - 1))))
 def test_nlie_table_agrees_with_jacobian_on_random_forms(case):
+    # Fraction forms and arguments, so the table's E and the Casimir's
+    # E, and each argument's d_a, are all exercised
     form, fs = case
-    assert make_nlie(form).table_bracket()(*fs) == JacobianBracket(form)(*fs)
+    got = make_nlie(form).table_bracket()(*fs)
+    _assert_canonical(got)
+    assert got == JacobianBracket(form)(*fs)
+
+
+def test_one_variable_jacobian_bracket_is_rejected():
+    with pytest.raises(ValueError, match=r"over \(x\).*at least two variables"):
+        JacobianBracket(context("x").variable(0) ** 2)

@@ -124,6 +124,21 @@ def test_center_negative_degree_exits_2(capsys):
     assert code == 2 and out == "" and "--degree" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--casimir", "x^2", "--identity", "skew"),
+    ("verify", "--casimir", "x^2", "--identity", "leibniz"),
+    ("center", "--casimir", "x^2", "--degree", "2"),
+    ("bracket", "--casimir", "x^2", "x"),
+    ("quotient", "reduce", "--casimir", "x^2", "--lambda", "1", "x"),
+])
+def test_one_variable_casimir_exits_2(capsys, args):
+    # a one-variable Casimir would give a 0-ary bracket
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert "Jacobian bracket over (x)" in err
+    assert "needs at least two variables" in err
+
+
 def test_verify_malcev_passes_where_filippov_fails(capsys):
     code, _, _ = run(capsys, "verify", "--algebra", "malcev-splittable",
                      "--identity", "malcev", "--trials", "8")

@@ -82,6 +82,26 @@ def test_order_rejects_bad_perm():
         MonomialOrder("lex", (3, 2, 1, 0)).leading_monomial(pp("x + y"))
 
 
+def test_leading_monomial_cache_follows_the_order():
+    # a polynomial keeps the leading monomial of the last order that
+    # asked; any other order object finds its own
+    p, q = pp("x*z + y^2"), pp("x*z + y^2")
+    y_first = MonomialOrder("lex", (1, 0, 2))
+    for _ in range(2):
+        assert GREVLEX.leading_monomial(p) == (0, 2, 0)
+        assert LEX.leading_monomial(p) == (1, 0, 1)
+        assert y_first.leading_monomial(p) == (0, 2, 0)
+    assert LEX.leading_monomial(p) == (1, 0, 1)
+    assert MonomialOrder("lex").leading_monomial(p) == (1, 0, 1)
+    # the checks come before the cache is read
+    with pytest.raises(ValueError, match="does not fit"):
+        MonomialOrder("lex", (3, 2, 1, 0)).leading_monomial(p)
+    with pytest.raises(ValueError, match="no leading monomial"):
+        LEX.leading_monomial(XYZ.zero())
+    # equality and hashing ignore the cache
+    assert p == q and hash(p) == hash(q)
+
+
 def test_monic():
     p = pp("2*x^2 + 4*y")
     assert GREVLEX.monic(p) == pp("x^2 + 2*y")
