@@ -6,7 +6,7 @@ normal forms, a mod-m grading and saturation/center probes, all over
 exact rationals.
 """
 
-from .poly import ContextMismatch, Polynomial, VarContext, context, poly_from_terms
+from .poly import ContextMismatch, Polynomial, VarContext, context
 from .groebner import (GREVLEX, LEX, BudgetExhausted, GroebnerBasis,
                        MonomialOrder, StepBudget, buchberger, divexact,
                        normal_form, spoly)

@@ -10,12 +10,15 @@ finite checks:
 
 * center_membership_* and center_probe decide centrality pointwise
   (2x2 Jacobian minors against C, or brackets against generator tuples)
-  and solve for the whole center in bounded degree as an exact linear
-  system.
+  and solve for the whole center in bounded degree as one exact linear
+  system, {x_I, f} = 0 for every increasing (n-1)-tuple I of generators,
+  with one sparse row per (I, output monomial) of the bracket images.
 
 * saturate_poisson_ideal grows an ideal from seeds by alternating
   Groebner normalization with bracketing against generator tuples until
   it stabilizes or swallows 1, with explicit budgets.
+
+All three bracket through one map, _generator_brackets.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .brackets import poly_det
 from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
-from .poly import Polynomial, VarContext, poly_from_terms
+from .poly import Polynomial, VarContext
 from .quotient import QuotientContext
 
 
@@ -38,20 +41,32 @@ class NotHomogeneous(ValueError):
 
 # -- linear algebra helpers ----------------------------------------------
 
-def rational_nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
+def rational_nullspace(rows: Sequence[Mapping[int, Fraction]],
+                       ncols: int) -> List[List[Fraction]]:
     """Basis of the right nullspace of a rational matrix.
 
-    Each basis vector has 1 in its own free column and 0 in the other
-    free columns; vectors come out in increasing free-column order, so
-    the result is deterministic.
+    Each row maps a column in range(ncols) to its entry; a missing or
+    zero entry counts as 0.  Each basis vector is dense, with 1 in its
+    own free column and 0 in the other free columns; vectors come out in
+    increasing free-column order, so the result is deterministic.
 
     This is the package's one exact rational elimination: ranks and Gram
     nondegeneracy elsewhere are read off its length.  Gauss-Jordan runs
-    on sparse rows (column -> nonzero entry), so a row update costs the
-    nonzero entries of the pivot row only.  Which row serves as pivot
-    does not matter: the reduced row echelon form is unique.
+    on sparse rows, so a row update costs the nonzero entries of the
+    pivot row only.  Neither the order of the rows nor which row serves
+    as pivot matters: the reduced row echelon form is unique.  The input
+    rows are left alone.
+
+    Raises:
+        ValueError: an entry's column is not in range(ncols).
     """
-    pending = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    cols = range(ncols)
+    pending = []
+    for row in rows:
+        for c in row:
+            if c not in cols:
+                raise ValueError(f"column {c!r} not in range({ncols})")
+        pending.append({c: v for c, v in row.items() if v})
     reduced: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> its row
     for col in range(ncols):
         piv = next((i for i, row in enumerate(pending) if col in row), None)
@@ -272,6 +287,20 @@ def center_membership_jacobian(bracket, f: Polynomial,
     return (not witnesses), witnesses
 
 
+def _generator_brackets(bracket, f: Polynomial
+                        ) -> Iterator[Tuple[Tuple[int, ...], Polynomial]]:
+    """Yield (I, {x_I, f}) for every increasing (n-1)-tuple I of generators.
+
+    I is a tuple of variable indices.  By the derivation property f is
+    central iff every one of these brackets vanishes, so membership, the
+    probe and saturation all bracket against exactly these tuples.
+    """
+    ctx = bracket.ctx
+    gens = ctx.gens()
+    for idxs in itertools.combinations(range(ctx.nvars), bracket.arity - 1):
+        yield idxs, bracket(*(gens[i] for i in idxs), f)
+
+
 def center_membership_table(bracket, f: Polynomial,
                             qctx: Optional[QuotientContext] = None
                             ) -> Tuple[bool, List[Tuple[Tuple[str, ...], Polynomial]]]:
@@ -283,11 +312,8 @@ def center_membership_table(bracket, f: Polynomial,
     ctx = bracket.ctx
     if f.ctx != ctx:
         raise ValueError("f from the wrong context")
-    gens = ctx.gens()
     witnesses = []
-    for idxs in itertools.combinations(range(ctx.nvars), bracket.arity - 1):
-        args = [gens[i] for i in idxs] + [f]
-        val = bracket(*args)
+    for idxs, val in _generator_brackets(bracket, f):
         if qctx is not None:
             val = qctx.reduce(val)
         if not val.is_zero():
@@ -304,16 +330,14 @@ def center_membership(bracket, f: Polynomial,
 
 
 def _monomials_up_to(ctx: VarContext, max_degree: int) -> List[Tuple[int, ...]]:
-    monos = []
+    """All monomials of degree <= max_degree, in increasing grevlex order.
 
-    def rec(prefix: List[int], remaining: int, pos: int) -> None:
-        if pos == ctx.nvars:
-            monos.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], max_degree, 0)
+    Each is a multiset of max_degree symbols drawn from the variables and
+    one slack symbol (index nvars) that stands for the unused degree.
+    """
+    n = ctx.nvars
+    monos = [tuple(combo.count(i) for i in range(n))
+             for combo in itertools.combinations_with_replacement(range(n + 1), max_degree)]
     monos.sort(key=GREVLEX.key)
     return monos
 
@@ -336,9 +360,10 @@ class CenterProbeReport:
 
 # Largest number of unknowns, C(nvars + d, nvars) monomials of degree
 # <= d, that center_probe solves for.  Time grows about 4x and memory
-# about 3x per degree: on a 2-core Xeon VM canonical Malcev takes 0.12 s
-# at degree 3 (120 unknowns, the largest in the suite), 0.73 s at 4 (330)
-# and 3.1 s at 5 (792), and the 5-ary quadric 2.7 s at degree 5 (462).
+# about 2.5x per degree: on a 2-core Xeon VM canonical Malcev takes
+# 0.04 s at degree 3 (120 unknowns, the largest in the suite), 0.17 s at
+# 4 (330) and 0.71 s at 5 (792, 4.7 MB traced peak), and the 5-ary
+# quadric 0.55 s at degree 5 (462).
 MAX_CENTER_COLUMNS = 500
 
 
@@ -349,8 +374,10 @@ def center_probe(bracket, max_degree: int,
     A general element is parametrized over the monomials of bounded
     degree, in quotient mode over normal-form monomials only (otherwise
     C - lambda itself would pollute the answer).  Centrality against
-    every increasing (n-1)-tuple of generators gives a rational linear
-    system; its nullspace is returned as polynomials.
+    every increasing (n-1)-tuple I of generators is a rational linear
+    system with one sparse row per (I, output monomial): the terms of
+    each (reduced) image {x_I, m} land in column m.  Its nullspace is
+    returned as polynomials.
 
     Raises:
         BudgetExhausted: more than MAX_CENTER_COLUMNS unknowns, before
@@ -366,32 +393,17 @@ def center_probe(bracket, max_degree: int,
     if qctx is not None:
         lead = qctx.modulus.leading_monomials()
         monos = [m for m in monos if not any(mono_divides(l, m) for l in lead)]
-    gens = ctx.gens()
-    columns: List[Polynomial] = []
-    for mono in monos:
-        columns.append(poly_from_terms(ctx, [(mono, 1)]))
-
-    rows: List[List[Fraction]] = []
-    for idxs in itertools.combinations(range(ctx.nvars), bracket.arity - 1):
-        head = [gens[i] for i in idxs]
-        images = []
-        out_monos = set()
-        for col in columns:
-            val = bracket(*head, col)
+    rows: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, Fraction]] = {}
+    for col, mono in enumerate(monos):
+        for idxs, val in _generator_brackets(bracket, Polynomial(ctx, {mono: 1})):
             if qctx is not None:
                 val = qctx.reduce(val)
-            images.append(val)
-            out_monos.update(val.terms)
-        for om in sorted(out_monos, key=GREVLEX.key):
-            rows.append([img.coefficient(om) for img in images])
-
-    null = rational_nullspace(rows, len(columns))
-    basis = []
-    for vec in null:
-        basis.append(poly_from_terms(
-            ctx, [(mono, q) for mono, q in zip(monos, vec) if q != 0]))
+            for out, c in val.terms.items():
+                rows.setdefault((idxs, out), {})[col] = c
+    null = rational_nullspace(list(rows.values()), len(monos))
+    basis = tuple(Polynomial(ctx, dict(zip(monos, vec))) for vec in null)
     mode = "quotient" if qctx is not None else "ambient"
-    return CenterProbeReport(mode, max_degree, len(basis), tuple(basis))
+    return CenterProbeReport(mode, max_degree, len(basis), basis)
 
 
 # -- saturation ------------------------------------------------------------
@@ -450,8 +462,6 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
 
     budget = StepBudget(step_limit)
     order = qctx.modulus.order
-    gens = ctx.gens()
-    tuples = list(itertools.combinations(range(ctx.nvars), bracket.arity - 1))
     report = SaturationReport(tuple(seeds), qctx.lam, "budget-exhausted")
     current: List[Polynomial] = list(seeds) + [qctx.casimir - qctx.lam]
     try:
@@ -463,8 +473,7 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
             fresh: List[Polynomial] = []
             seen = set()
             for g in basis.generators:
-                for idxs in tuples:
-                    val = bracket(*(gens[i] for i in idxs), g)
+                for _, val in _generator_brackets(bracket, g):
                     red = basis.reduce(val, budget)
                     if red.is_zero():
                         continue

@@ -292,12 +292,14 @@ def cmd_minroot(ns) -> Report:
 def cmd_center(ns) -> Report:
     if ns.degree is not None and ns.degree < 0:
         raise UsageError(f"--degree must be non-negative, got {ns.degree}")
+    if ns.quotient and ns.lam is None:
+        raise UsageError("--quotient needs --lambda")
+    if ns.lam is not None and not ns.quotient:
+        raise UsageError("--lambda needs --quotient")
+    if ns.element and ns.degree is not None:
+        raise UsageError("--degree applies to the probe, not to --element")
     bracket, spec, label = _resolve_bracket(ns)
-    qctx = None
-    if ns.quotient:
-        if ns.lam is None:
-            raise UsageError("--quotient needs --lambda")
-        qctx = _quotient_from(ns, bracket, spec)
+    qctx = _quotient_from(ns, bracket, spec) if ns.quotient else None
     if ns.element:
         poly = parse_polynomial(ns.element, bracket.ctx)
         ok, witnesses = analysis.center_membership(bracket, poly, qctx)

@@ -473,17 +473,3 @@ def format_polynomial(p: Polynomial) -> str:
         else:
             chunks.append(f" - {body}" if neg else f" + {body}")
     return "".join(chunks)
-
-
-def poly_from_terms(ctx: VarContext, entries: Iterable[Tuple[Monomial, Scalar]]) -> Polynomial:
-    """Sum an iterable of (monomial, coefficient) pairs into a polynomial."""
-    acc: Dict[Monomial, Fraction] = {}
-    for mono, coeff in entries:
-        mono = tuple(mono)
-        q = Fraction(coeff)
-        s = acc.get(mono, _ZERO) + q
-        if s:
-            acc[mono] = s
-        else:
-            acc.pop(mono, None)
-    return Polynomial(ctx, acc)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .analysis import rational_nullspace
 from .brackets import JacobianBracket, TableBracket
-from .poly import Polynomial, Scalar, VarContext, poly_from_terms
+from .poly import Polynomial, Scalar, VarContext
 
 
 def _perm_sign(idxs: Sequence[int]) -> int:
@@ -146,17 +146,12 @@ def make_elliptic(alpha: Scalar = 1) -> AlgebraSpec:
                        description="cubic surface bracket {x,y} = z^2 - alpha*x*y etc.")
 
 
-def _gram_rows(f: Polynomial) -> List[List[Fraction]]:
-    """Symmetric Gram matrix of a quadratic form."""
-    n = f.ctx.nvars
-    rows: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            mono = [0] * n
-            mono[i] += 1
-            mono[j] += 1
-            c = f.coefficient(tuple(mono))
-            rows[i][j] = rows[j][i] = c if i == j else c / 2
+def _gram_rows(f: Polynomial) -> List[Dict[int, Fraction]]:
+    """Symmetric Gram matrix of a quadratic form, one sparse row per variable."""
+    rows: List[Dict[int, Fraction]] = [{} for _ in range(f.ctx.nvars)]
+    for mono, c in f.terms.items():
+        i, j = [k for k, e in enumerate(mono) for _ in range(e)]
+        rows[i][j] = rows[j][i] = c if i == j else c / 2
     return rows
 
 
@@ -192,10 +187,8 @@ def make_quadric(n: int = 2) -> AlgebraSpec:
     if n < 1:
         raise ValueError("arity must be positive")
     ctx = VarContext(tuple(f"x{i}" for i in range(1, n + 2)))
-    form = poly_from_terms(ctx, [
-        (tuple(2 if j == i else 0 for j in range(n + 1)), 1)
-        for i in range(n + 1)
-    ])
+    form = Polynomial(ctx, {
+        tuple(2 if j == i else 0 for j in range(n + 1)): 1 for i in range(n + 1)})
     spec = make_nlie(form, name=f"quadric({n})")
     spec.params = {"n": Fraction(n)}
     spec.description = f"{n}-ary bracket of x1^2 + ... + x{n + 1}^2"
@@ -207,10 +200,9 @@ def make_nlie_diagonal(alphas: Sequence[Scalar]) -> AlgebraSpec:
     if len(alphas) < 2:
         raise ValueError("need at least two coefficients")
     ctx = VarContext(tuple(f"x{i}" for i in range(1, len(alphas) + 1)))
-    form = poly_from_terms(ctx, [
-        (tuple(2 if j == i else 0 for j in range(len(alphas))), Fraction(a))
-        for i, a in enumerate(alphas)
-    ])
+    form = Polynomial(ctx, {
+        tuple(2 if j == i else 0 for j in range(len(alphas))): Fraction(a)
+        for i, a in enumerate(alphas)})
     spec = make_nlie(form, name="nlie")
     spec.params = {f"alpha{i + 1}": Fraction(a) for i, a in enumerate(alphas)}
     return spec

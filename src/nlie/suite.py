@@ -615,14 +615,14 @@ def _is_constant_span(basis: Sequence[Polynomial]) -> bool:
 def _span_matches(basis: Sequence[Polynomial],
                   target: Sequence[Polynomial]) -> bool:
     """Equality of rational spans via rank computations."""
-    monos = set()
+    cols: Dict[Tuple[int, ...], int] = {}
     for p in list(basis) + list(target):
-        monos.update(p.terms)
-    monos = sorted(monos)
+        for m in p.terms:
+            cols.setdefault(m, len(cols))
 
     def rank(ps):
-        rows = [[p.coefficient(m) for m in monos] for p in ps]
-        return len(monos) - len(analysis.rational_nullspace(rows, len(monos)))
+        rows = [{cols[m]: c for m, c in p.terms.items()} for p in ps]
+        return len(cols) - len(analysis.rational_nullspace(rows, len(cols)))
 
     return rank(basis) == rank(target) == rank(list(basis) + list(target))
 

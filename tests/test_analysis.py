@@ -8,14 +8,15 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlie.analysis import (NotHomogeneous, center_membership, center_probe,
-                           is_closed_homogeneous, kth_root,
+from nlie.analysis import (NotHomogeneous, center_membership,
+                           center_membership_jacobian, center_membership_table,
+                           center_probe, is_closed_homogeneous, kth_root,
                            minimal_root_homogeneous, rational_nullspace,
                            saturate_poisson_ideal)
-from nlie.brackets import random_homogeneous, random_polynomial
+from nlie.brackets import JacobianBracket, random_homogeneous, random_polynomial
 from nlie.groebner import GREVLEX
 from nlie.parser import parse_polynomial
 from nlie.poly import Polynomial, VarContext, context
@@ -181,12 +182,13 @@ def test_closedness_matches_factor_list(c):
 
 def test_rational_nullspace():
     rows = [[1, 2, 3], [2, 4, 6]]
-    basis = rational_nullspace([[Fraction(v) for v in r] for r in rows], 3)
+    basis = rational_nullspace([{c: Fraction(v) for c, v in enumerate(r)}
+                                for r in rows], 3)
     assert len(basis) == 2
     for vec in basis:
         assert sum(a * b for a, b in zip(rows[0], vec)) == 0
-    full = rational_nullspace([[Fraction(1), Fraction(0)],
-                               [Fraction(0), Fraction(1)]], 2)
+    full = rational_nullspace([{0: Fraction(1), 1: Fraction(0)},
+                               {0: Fraction(0), 1: Fraction(1)}], 2)
     assert full == []
 
 
@@ -263,6 +265,125 @@ def test_center_probe_degenerate_form_sees_radical():
     spec = make_nlie((x + y) ** 2, name="rank1")
     probe = center_probe(spec.jacobian_bracket(), 1)
     assert probe.dimension == 2  # constants and x - y
+
+
+def _polys(ctx, max_degree, max_terms):
+    """Nonzero polynomials of degree <= max_degree with few terms."""
+    monos = [m for m in itertools.product(range(max_degree + 1), repeat=ctx.nvars)
+             if sum(m) <= max_degree]
+    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+    return st.dictionaries(st.sampled_from(monos), coeffs, min_size=1,
+                           max_size=max_terms).map(lambda t: Polynomial(ctx, t))
+
+
+def _quotient(draw, bracket, casimir):
+    lam = draw(st.sampled_from([None, 1, -3, Fraction(1, 2)]))
+    return None if lam is None else QuotientContext.create(bracket, lam, casimir=casimir)
+
+
+@st.composite
+def center_systems(draw):
+    """A bracket, a probe degree <= 3 and, in three draws of four, a quotient.
+
+    Half the brackets come from make_nlie on sums of weighted squares of
+    linear forms, by either route; with fewer squares than variables the
+    form is degenerate.  The others are Jacobian brackets of random
+    Casimirs in three variables.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 4))
+        ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+        casimir = ctx.zero()
+        for _ in range(draw(st.integers(1, n))):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            line = Polynomial(ctx, {tuple(int(k == i) for k in range(n)): c
+                                    for i, c in enumerate(coeffs)})
+            casimir = casimir + draw(st.sampled_from([1, -1, 2])) * line ** 2
+        assume(not casimir.is_zero())
+        spec = make_nlie(casimir)
+        bracket = draw(st.sampled_from([spec.table_bracket(), spec.jacobian_bracket()]))
+    else:
+        ctx = VarContext(("x0", "x1", "x2"))
+        casimir = draw(_polys(ctx, 3, 4).filter(lambda p: not p.is_constant()))
+        bracket = JacobianBracket(casimir)
+    return bracket, draw(st.integers(0, 3)), _quotient(draw, bracket, casimir)
+
+
+def _dense_center_system(bracket, degree, qctx):
+    """Rows {x_I, m} -> coefficient of each output monomial, built densely."""
+    ctx = bracket.ctx
+    monos = [m for m in itertools.product(range(degree + 1), repeat=ctx.nvars)
+             if sum(m) <= degree]
+    if qctx is not None:
+        lead = qctx.modulus.leading_monomials()
+        monos = [m for m in monos
+                 if not any(all(a <= b for a, b in zip(l, m)) for l in lead)]
+    gens = ctx.gens()
+    rows = []
+    for idxs in itertools.combinations(range(ctx.nvars), bracket.arity - 1):
+        images = []
+        for m in monos:
+            img = bracket(*(gens[i] for i in idxs), Polynomial(ctx, {m: 1}))
+            images.append(img if qctx is None else qctx.reduce(img))
+        for out in set().union(*(img.terms for img in images)):
+            rows.append([img.coefficient(out) for img in images])
+    return rows, len(monos)
+
+
+CENTER_PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@CENTER_PROPERTY
+@given(center_systems())
+def test_center_probe_dimension_matches_sympy_rank(case):
+    bracket, degree, qctx = case
+    rows, ncols = _dense_center_system(bracket, degree, qctx)
+    rank = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r]
+                         for r in rows]).rank() if rows else 0
+    probe = center_probe(bracket, degree, qctx)
+    assert probe.dimension == ncols - rank
+    for p in probe.basis:
+        assert center_membership(bracket, p, qctx)[0]
+
+
+@st.composite
+def jacobian_memberships(draw):
+    """A Jacobian bracket in 3 or 4 variables, an element, maybe a quotient.
+
+    Half the elements are polynomials in C, so central ones are common.
+    """
+    n = draw(st.integers(3, 4))
+    ctx = VarContext(tuple(f"x{i}" for i in range(n)))
+    casimir = draw(_polys(ctx, 3, 3).filter(lambda p: not p.is_constant()))
+    bracket = JacobianBracket(casimir)
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+        f = a * casimir ** 2 + b * casimir + 1
+    else:
+        f = draw(_polys(ctx, 3, 4))
+    return bracket, f, _quotient(draw, bracket, casimir)
+
+
+@CENTER_PROPERTY
+@given(jacobian_memberships())
+def test_membership_routes_agree_on_jacobian_brackets(case):
+    # {x_I, f} expands along the unit rows of x_I to +-(the 2x2 minor of
+    # (df, dC) on the two variables outside I), so both routes see the
+    # same values, one per pair of variables
+    bracket, f, qctx = case
+    ctx = bracket.ctx
+    ok_t, wit_t = center_membership_table(bracket, f, qctx)
+    ok_j, wit_j = center_membership_jacobian(bracket, f, qctx)
+    assert ok_t == ok_j
+    by_pair_t = {}
+    for names, val in wit_t:
+        inside = {ctx.index(nm) for nm in names}
+        by_pair_t[tuple(i for i in range(ctx.nvars) if i not in inside)] = val
+    by_pair_j = {(i, j): minor for i, j, minor in wit_j}
+    assert len(by_pair_t) == len(wit_t) and len(by_pair_j) == len(wit_j)
+    assert by_pair_t.keys() == by_pair_j.keys()
+    for pair, val in by_pair_t.items():
+        assert val in (by_pair_j[pair], -by_pair_j[pair])
 
 
 # -- saturation ----------------------------------------------------------

@@ -238,6 +238,18 @@ def test_center_commands(capsys):
     assert code == 2  # --quotient without --lambda
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("--lambda", "1"), "--lambda"),
+    (("--lambda", "1", "--degree", "2"), "--lambda"),
+    (("--element", "h", "--degree", "2"), "--degree"),
+    (("--element", "h", "--degree", "2", "--quotient", "--lambda", "1"), "--degree"),
+])
+def test_center_refuses_flags_it_would_ignore(capsys, args, flag):
+    # --lambda only shifts a quotient, and --degree only bounds a probe
+    code, out, err = run(capsys, "center", "--algebra", "sl2", *args)
+    assert code == 2 and out == "" and flag in err
+
+
 def test_saturate_exit_codes(capsys):
     code, doc = run_json(capsys, "saturate", "--algebra", "sl2",
                          "--lambda", "1", "--seed", "e",

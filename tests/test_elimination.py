@@ -8,6 +8,7 @@ determinants are the independent reference.
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,9 +49,10 @@ def matrices(draw):
 @given(matrices())
 def test_rational_nullspace_matches_sympy_rank(case):
     rows, ncols = case
-    before = [r[:] for r in rows]
-    basis = rational_nullspace(rows, ncols)
-    assert rows == before  # the input is left alone
+    sparse = [dict(enumerate(r)) for r in rows]
+    before = [dict(r) for r in sparse]
+    basis = rational_nullspace(sparse, ncols)
+    assert sparse == before  # the input is left alone
     assert len(basis) == ncols - _sympy_rank(rows, ncols)
     for vec in basis:
         assert len(vec) == ncols
@@ -67,8 +69,24 @@ def test_rational_nullspace_equals_sympy_nullspace(case):
     rows, ncols = case
     expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r]
                              for r in rows]).nullspace()
-    assert rational_nullspace(rows, ncols) == [
+    assert rational_nullspace([dict(enumerate(r)) for r in rows], ncols) == [
         [Fraction(int(x.p), int(x.q)) for x in vec] for vec in expected]
+
+
+@pytest.mark.parametrize("row", [{3: Fraction(1)}, {-1: Fraction(1)},
+                                 {0: Fraction(1), 5: Fraction(0)}, {"x": Fraction(2)}])
+def test_rational_nullspace_rejects_columns_out_of_range(row):
+    # a zero entry in a bad column is refused too: it names a column
+    # that the system does not have
+    with pytest.raises(ValueError, match="not in range"):
+        rational_nullspace([{0: Fraction(1)}, row], 3)
+
+
+def test_rational_nullspace_reads_missing_and_zero_entries_as_zero():
+    rows = [{1: Fraction(2)}, {0: Fraction(0), 2: Fraction(1)}]
+    assert rational_nullspace(rows, 3) == [[Fraction(1), Fraction(0), Fraction(0)]]
+    assert rational_nullspace([], 2) == [[Fraction(1), Fraction(0)],
+                                         [Fraction(0), Fraction(1)]]
 
 
 def _ctx(nvars):
