@@ -4,9 +4,10 @@ The operations here turn structural questions about the algebras into
 finite checks:
 
 * kth_root / is_closed_homogeneous / minimal_root_homogeneous decide
-  whether a homogeneous polynomial is a proper power, by a triangular
-  recursion on coefficients against a distinguished variable followed by
-  one exact verification.
+  whether a homogeneous polynomial is a proper power.  kth_root expands
+  the forced root candidate in powers of 1/x_j for a distinguished
+  variable x_j by J.C.P. Miller's power-series recurrence and verifies
+  it by one exact k-th power; the minimal root peels prime roots.
 
 * center_membership_* and center_probe decide centrality pointwise
   (2x2 Jacobian minors against C, or brackets against generator tuples)
@@ -27,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .brackets import poly_det
 from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
@@ -53,37 +54,50 @@ def rational_nullspace(rows: Sequence[Mapping[int, Fraction]],
     This is the package's one exact rational elimination: ranks and Gram
     nondegeneracy elsewhere are read off its length.  Gauss-Jordan runs
     on sparse rows, so a row update costs the nonzero entries of the
-    pivot row only.  Neither the order of the rows nor which row serves
-    as pivot matters: the reduced row echelon form is unique.  The input
+    pivot row only, and an index from each column to the rows holding
+    it means only those rows are visited to find the pivot and clear
+    its column.  Neither the order of the rows nor which row serves as
+    pivot matters: the reduced row echelon form is unique.  The input
     rows are left alone.
 
     Raises:
         ValueError: an entry's column is not in range(ncols).
     """
     cols = range(ncols)
-    pending = []
-    for row in rows:
+    work: Dict[int, Dict[int, Fraction]] = {}  # row id -> its current entries
+    holders: Dict[int, Set[int]] = {}  # column -> ids of the rows holding it
+    for r, row in enumerate(rows):
         for c in row:
             if c not in cols:
                 raise ValueError(f"column {c!r} not in range({ncols})")
-        pending.append({c: v for c, v in row.items() if v})
+        work[r] = {c: v for c, v in row.items() if v}
+        for c in work[r]:
+            holders.setdefault(c, set()).add(r)
+    pending = set(work)
     reduced: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> its row
     for col in range(ncols):
-        piv = next((i for i, row in enumerate(pending) if col in row), None)
+        ids = holders.get(col, ())
+        piv = min((r for r in ids if r in pending), default=None)
         if piv is None:
             continue
-        prow = pending.pop(piv)
-        scale = prow[col]
-        prow = {c: v / scale for c, v in prow.items()}
-        for row in itertools.chain(pending, reduced.values()):
-            f = row.get(col)
-            if f is not None:
-                for c, b in prow.items():
-                    v = row.get(c, 0) - f * b
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
+        pending.remove(piv)
+        scale = work[piv][col]
+        prow = work[piv] = {c: v / scale for c, v in work[piv].items()}
+        for r in [r for r in ids if r != piv]:
+            row = work[r]
+            f = row[col]
+            for c, b in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * b
+                    holders[c].add(r)
+                    continue
+                v = old - f * b
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+                    holders[c].remove(r)
         reduced[col] = prow
         if not pending:
             break
@@ -125,13 +139,23 @@ def _univariate_parts(f: Polynomial, j: int) -> Dict[int, Polynomial]:
     return {s: Polynomial(f.ctx, t) for s, t in parts.items()}
 
 
-def _root_with_leading(c_poly: Polynomial, k: int, j: int) -> RootResult:
-    """Root recursion with x_j as the distinguished variable.
+def _root_with_leading(c_poly: Polynomial, k: int,
+                       j: int) -> Tuple[Polynomial, Fraction]:
+    """The forced k-th root candidate of C, monic in x_j, and its alpha.
 
-    Requires the pure power x_j^deg to appear.  Solves the triangular
-    system for the coefficients of a monic-in-x_j candidate, then
-    verifies the k-th power exactly; the candidate is forced, so a
-    verification failure proves there is no root at all.
+    Requires the pure power x_j^D to appear, with coefficient alpha.
+    Write C / alpha = sum_t a_t x_j^(D-t), so a_0 = 1 and each a_t is a
+    form of degree t in the other variables.  In u = 1/x_j this is
+    x_j^D * A(u) with A(0) = 1, and a root monic in x_j is
+    x_j^m * B(u) with B the power series A^(1/k) truncated after u^m,
+    m = D/k.  J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7)
+    gives its coefficients without forming any power: b_0 = 1 and
+
+        b_n = 1/(n*k) * sum_{i=1..n} (i*(k+1) - n*k) * a_i * b_(n-i),
+
+    summed over the nonzero a_i and b_(n-i) only.  The candidate
+    sum_t b_t x_j^(m-t) is forced, so C is alpha times a k-th power iff
+    alpha * candidate^k == C; kth_root makes that one check.
     """
     ctx = c_poly.ctx
     big_d = c_poly.total_degree()
@@ -140,26 +164,20 @@ def _root_with_leading(c_poly: Polynomial, k: int, j: int) -> RootResult:
     alpha = c_poly.coefficient(pure)
     if alpha == 0:
         raise ValueError("distinguished variable lacks its pure power")
-    normalized = c_poly / alpha
-    parts = _univariate_parts(normalized, j)
-    xj = ctx.variable(j)
-    b: Dict[int, Polynomial] = {m: ctx.one()}
-    for r in range(m - 1, -1, -1):
-        s = m * (k - 1) + r
-        upper = ctx.zero()
-        for i in range(r + 1, m + 1):
-            upper = upper + b[i] * xj ** i
-        power = upper ** k
-        correction = _univariate_parts(power, j).get(s, ctx.zero())
-        target = parts.get(s, ctx.zero())
-        b[r] = (target - correction) / k
-    candidate = ctx.zero()
-    for i, coeff_poly in b.items():
-        candidate = candidate + coeff_poly * xj ** i
-    if alpha * candidate ** k == c_poly:
-        return RootResult(k, candidate, alpha)
-    return RootResult(k, None, None,
-                      f"forced candidate fails verification for k={k}")
+    a = {big_d - s: part for s, part in _univariate_parts(c_poly / alpha, j).items()
+         if 0 < big_d - s <= m}
+    b: Dict[int, Polynomial] = {0: ctx.one()}
+    zero = ctx.zero()
+    for n in range(1, m + 1):
+        acc = sum((a_i * b[n - i] * (i * (k + 1) - n * k)
+                   for i, a_i in a.items() if i <= n and n - i in b), zero)
+        if acc:
+            b[n] = acc / (n * k)
+    terms = {}
+    for t, coeff_poly in b.items():
+        for mono, c in coeff_poly.terms.items():
+            terms[mono[:j] + (m - t,) + mono[j + 1:]] = c
+    return Polynomial(ctx, terms), alpha
 
 
 def kth_root(c_poly: Polynomial, k: int) -> RootResult:
@@ -169,6 +187,7 @@ def kth_root(c_poly: Polynomial, k: int) -> RootResult:
     is monic in the distinguished variable and alpha absorbs the rest.
     Every nonzero homogeneous C is decided: when no variable has a pure
     top power, a shear x_i -> x_i + t_i*x_1 exposes one (see below).
+    The forced candidate is checked once, against C itself.
 
     Raises:
         NotHomogeneous: C not homogeneous or zero.
@@ -182,35 +201,48 @@ def kth_root(c_poly: Polynomial, k: int) -> RootResult:
     if big_d % k != 0:
         return RootResult(k, None, None, f"degree {big_d} not divisible by k={k}")
     ctx = c_poly.ctx
-    for j in range(ctx.nvars):
-        pure = tuple(big_d if t == j else 0 for t in range(ctx.nvars))
-        if c_poly.coefficient(pure) != 0:
-            return _root_with_leading(c_poly, k, j)
-    # No pure power anywhere: shear x_i -> x_i + t_i*x_1 (i > 1), after
-    # which the coefficient of x_1^D is C(1, t_2, ..., t_n).  That is C
-    # dehomogenised at x_1 = 1, a nonzero polynomial of degree <= D in
-    # each t_i, so it is nonzero somewhere on the grid {0..D}^(n-1)
-    # (Alon, Combinatorial Nullstellensatz, 1999).  The scan starts at
-    # the all-ones point.
-    values = [1, 0] + list(range(2, big_d + 1))
-    shear = next(ts for ts in itertools.product(values, repeat=ctx.nvars - 1)
-                 if c_poly.evaluate((1,) + ts) != 0)
-    names = ctx.names
-    x1 = ctx.variable(0)
-    fwd = {names[i]: ctx.variable(i) + t * x1 for i, t in enumerate(shear, 1)}
-    back = {names[i]: ctx.variable(i) - t * x1 for i, t in enumerate(shear, 1)}
-    res = _root_with_leading(c_poly.substitute(fwd), k, 0)
-    if not res.found:
-        return RootResult(k, None, None, res.reason)
-    root = res.root.substitute(back)
-    assert res.alpha is not None
-    if res.alpha * root ** k == c_poly:
-        return RootResult(k, root, res.alpha)
-    return RootResult(k, None, None, "unsheared candidate fails verification")
+    j = next((j for j in range(ctx.nvars)
+              if c_poly.coefficient(tuple(big_d if t == j else 0
+                                          for t in range(ctx.nvars)))), None)
+    if j is not None:
+        root, alpha = _root_with_leading(c_poly, k, j)
+    else:
+        # No pure power anywhere: shear x_i -> x_i + t_i*x_1 (i > 1), after
+        # which the coefficient of x_1^D is C(1, t_2, ..., t_n).  That is C
+        # dehomogenised at x_1 = 1, a nonzero polynomial of degree <= D in
+        # each t_i, so it is nonzero somewhere on the grid {0..D}^(n-1)
+        # (Alon, Combinatorial Nullstellensatz, 1999).  The scan starts at
+        # the all-ones point.  Unshearing is a ring automorphism, so the
+        # sheared candidate is a root of the sheared C iff the unsheared
+        # one is a root of C.
+        values = [1, 0] + list(range(2, big_d + 1))
+        shear = next(ts for ts in itertools.product(values, repeat=ctx.nvars - 1)
+                     if c_poly.evaluate((1,) + ts) != 0)
+        names = ctx.names
+        x1 = ctx.variable(0)
+        fwd = {names[i]: ctx.variable(i) + t * x1 for i, t in enumerate(shear, 1)}
+        back = {names[i]: ctx.variable(i) - t * x1 for i, t in enumerate(shear, 1)}
+        root, alpha = _root_with_leading(c_poly.substitute(fwd), k, 0)
+        root = root.substitute(back)
+    if alpha * root ** k == c_poly:
+        return RootResult(k, root, alpha)
+    return RootResult(k, None, None,
+                      f"forced candidate fails verification for k={k}")
 
 
-def _divisors_desc(n: int) -> List[int]:
-    return [k for k in range(n, 1, -1) if n % k == 0]
+def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, ascending; none for n < 2."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 @dataclass(frozen=True)
@@ -224,16 +256,28 @@ class MinimalRoot:
 def minimal_root_homogeneous(c_poly: Polynomial) -> MinimalRoot:
     """Smallest-degree c with C = alpha * c^k, k maximal; c is closed.
 
-    A closed C comes back monic (grevlex leading coefficient normalized
-    to one) with k = 1.
+    Peels prime roots: for each prime p dividing deg C, in increasing
+    order, the current root is replaced by its p-th root for as long as
+    one exists.  Over Q, C is a p-th power up to a scalar iff p divides
+    the gcd g of its factor multiplicities, so the peeled primes
+    multiply to k = g.  Each peeled root keeps kth_root's normalisation
+    (monic in the same distinguished variable, or 1 at the same shear
+    point), so c is the root kth_root(C, g) would return.  A closed C
+    comes back monic (grevlex leading coefficient normalized to one)
+    with k = 1.
     """
     if c_poly.is_zero() or not c_poly.is_homogeneous():
         raise NotHomogeneous("minimal root needs a nonzero homogeneous polynomial")
-    for k in _divisors_desc(c_poly.total_degree()):
-        res = kth_root(c_poly, k)
-        if res.found:
+    root, alpha, k = c_poly, Fraction(1), 1
+    for p in _prime_factors(c_poly.total_degree()):
+        while root.total_degree() % p == 0:
+            res = kth_root(root, p)
+            if not res.found:
+                break
             assert res.root is not None and res.alpha is not None
-            return MinimalRoot(res.root, k, res.alpha, was_closed=False)
+            root, alpha, k = res.root, alpha * res.alpha ** k, k * p
+    if k > 1:
+        return MinimalRoot(root, k, alpha, was_closed=False)
     lc = GREVLEX.leading_coefficient(c_poly)
     return MinimalRoot(c_poly / lc, 1, lc, was_closed=True)
 

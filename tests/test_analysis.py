@@ -177,6 +177,55 @@ def test_closedness_matches_factor_list(c):
     assert is_closed_homogeneous(c).closed == (_multiplicity_gcd(c) == 1)
 
 
+@ROOT_PROPERTY
+@given(factored_forms(), st.integers(1, 3))
+def test_minimal_root_k_is_multiplicity_gcd(c, e):
+    # the planted power e lets the gcd have two prime factors, as 6 does
+    mr = minimal_root_homogeneous(c ** e)
+    assert mr.k == e * _multiplicity_gcd(c)
+    assert mr.alpha * mr.root ** mr.k == c ** e
+    assert is_closed_homogeneous(mr.root).closed
+
+
+# (input, context, k) with what kth_root(C, k), minimal_root_homogeneous
+# and is_closed_homogeneous return, recorded from the divisor-by-divisor
+# search that prime peeling replaced.  The roots are monic in the first
+# variable with a pure top power, or equal to 1 at the shear point when
+# there is none (the square of the no-pure-power form, and the fourth
+# power of x^2*y + y^2*z + z^2*x), and alpha takes the rest.
+NO_PURE_POWER = "x*y*(y-x)*(y-2*x)*(y-3*x)*(x-2*y)*(x-3*y)"
+SHEARED_ROOT = ("-1/308*x^6*y + 41/1848*x^5*y^2 - 97/1848*x^4*y^3"
+                " + 97/1848*x^3*y^4 - 41/1848*x^2*y^5 + 1/308*x*y^6")
+ROOT_PINS = [
+    ("(2*x - y + 3*z)^2", XYZ, 2, ("x - 1/2*y + 3/2*z", "4")),
+    (f"({NO_PURE_POWER})^2", XY, 2, (SHEARED_ROOT, "3415104")),
+    ("(x^5*y + y^6 - 2*z^6 + x*y*z^4)^2", XYZ, 2,
+     ("x^5*y + y^6 + x*y*z^4 - 2*z^6", "1")),
+    ("-(x*y^3 + 2*y*z^3 - z^4)^3", XYZ, 3, ("-x*y^3 - 2*y*z^3 + z^4", "1")),
+    ("3*(x^2*y + y^2*z + z^2*x)^4", XYZ, 4,
+     ("1/3*x^2*y + 1/3*y^2*z + 1/3*x*z^2", "243")),
+    ("1/5*(x^2 - 3*y^2 + x*z)^6", XYZ, 6, ("x^2 - 3*y^2 + x*z", "1/5")),
+    ("-7/3*(x + y)^4*(x - z)^4", XYZ, 4, ("x^2 + x*y - x*z - y*z", "-7/3")),
+    ("x^3 + y^3 + z^3 - 3*x*y*z", XYZ, 3, None),
+]
+
+
+@pytest.mark.parametrize("src, ctx, k, want", ROOT_PINS)
+def test_root_family_normalisation_is_pinned(src, ctx, k, want):
+    c = pp(src, ctx)
+    res, mr, rep = kth_root(c, k), minimal_root_homogeneous(c), is_closed_homogeneous(c)
+    if want is None:
+        assert (res.root, res.alpha) == (None, None)
+        assert res.reason == f"forced candidate fails verification for k={k}"
+        assert (str(mr.root), str(mr.alpha), mr.k) == ("x^3 + y^3 - 3*x*y*z + z^3", "1", 1)
+        assert (rep.closed, rep.witness_k, rep.witness_root) == (True, None, None)
+        return
+    root, alpha = want
+    assert (str(res.root), str(res.alpha), res.reason) == (root, alpha, "")
+    assert (str(mr.root), str(mr.alpha), mr.k) == (root, alpha, k)
+    assert (rep.closed, rep.witness_k, str(rep.witness_root)) == (False, k, root)
+
+
 # -- exact linear algebra ----------------------------------------------
 
 

@@ -191,6 +191,22 @@ def test_root_family_decides_without_pure_power(capsys):
     assert code == 0 and doc["data"]["k"] == 2
 
 
+@pytest.mark.parametrize("degree", [12, 100000])
+def test_sparse_high_degree_roots_are_fast(capsys, degree):
+    # two terms, so the recurrence has nothing to sum between them:
+    # decided at once, with the same answers at every degree
+    src = f"x^{degree}+y^{degree}"
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "root", "--k", "2", src)
+    assert code == 0 and doc["data"]["found"] is False
+    assert doc["data"]["reason"] == "forced candidate fails verification for k=2"
+    code, doc = run_json(capsys, "closed", src)
+    assert code == 0 and doc["data"]["closed"] is True
+    code, doc = run_json(capsys, "minroot", src)
+    assert code == 0 and doc["data"]["was_closed"] is True and doc["data"]["k"] == 1
+    assert time.perf_counter() - start < 1
+
+
 def test_power_term_bound_exits_3(capsys):
     code, out, err = run(capsys, "root", "--k", "2", "(x+y+z+w)^400")
     assert code == 3 and out == "" and "budget exhausted" in err
