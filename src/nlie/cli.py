@@ -321,6 +321,9 @@ def cmd_center(ns) -> Report:
 
 
 def cmd_saturate(ns) -> Report:
+    for flag, value in (("--rounds", ns.rounds), ("--budget", ns.budget)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     bracket, spec, label = _resolve_bracket(ns)
     qctx = _quotient_from(ns, bracket, spec)
     seeds = [parse_polynomial(e, bracket.ctx) for e in ns.seed]
@@ -359,7 +362,7 @@ def _run_suite(command: str, items, seed: Optional[int]) -> Report:
 
 
 def cmd_casimir_suite(ns) -> Report:
-    return _run_suite("casimir-suite", suite.casimir_suite_items(), None)
+    return _run_suite("casimir-suite", suite.items_casimir(), None)
 
 
 def cmd_paper_suite(ns) -> Report:

@@ -223,16 +223,6 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     return divide(f, divisors, order, budget)[1]
 
 
-def divexact(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Exact quotient f / g; raises ValueError when g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    qs, r = divide(f, [g], order)
-    if not r.is_zero():
-        raise ValueError("divexact: division not exact")
-    return qs[0]
-
-
 def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     """S-polynomial of f and g."""
     mf, cf = order.leading_term(f)

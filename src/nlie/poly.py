@@ -149,36 +149,17 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * self.ctx.nvars, _ZERO)
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def degree_in(self, i: int) -> int:
-        """Degree in variable i; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m[i] for m in self.terms)
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), _ZERO)
 
     def num_terms(self) -> int:
         return len(self.terms)
-
-    def variables_used(self) -> Tuple[int, ...]:
-        """Indices of variables appearing with positive exponent."""
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return tuple(sorted(used))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -319,18 +300,26 @@ class Polynomial:
         return result
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Evaluate at a rational point given in context order."""
+        """Evaluate at a rational point given in context order.
+
+        With the coefficients cleared to integers over d, the point written
+        as integers over q and D = max(deg, 0), d * q^D * f(point) is a sum
+        of integers; only the result is a Fraction.
+        """
         if len(point) != self.ctx.nvars:
             raise ValueError("point has wrong length")
         vals = [Fraction(v) for v in point]
-        total = _ZERO
-        for mono, c in self.terms.items():
-            prod = c
-            for v, e in zip(vals, mono):
+        q = lcm(*[v.denominator for v in vals])
+        nums = [v.numerator * (q // v.denominator) for v in vals]
+        top = max(self.total_degree(), 0)
+        d, items = _cleared(self.terms)
+        total = 0
+        for mono, c in items:
+            for v, e in zip(nums, mono):
                 if e:
-                    prod *= v ** e
-            total += prod
-        return total
+                    c *= v ** e
+            total += c * q ** (top - sum(mono))
+        return Fraction(total, d * q ** top)
 
     def homogeneous_components(self) -> Dict[int, "Polynomial"]:
         """Split into homogeneous parts, keyed by total degree."""
@@ -342,19 +331,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
-
-    def euler_defect(self) -> "Polynomial":
-        """sum_i x_i * df/dx_i - deg(f) * f; zero iff f is homogeneous.
-
-        Defined for nonzero f (the zero polynomial has no degree).
-        """
-        if self.is_zero():
-            raise ValueError("euler_defect of the zero polynomial")
-        d = self.total_degree()
-        acc = self.ctx.zero()
-        for i in range(self.ctx.nvars):
-            acc = acc + self.ctx.variable(i) * self.partial(i)
-        return acc - self * d
 
     # -- term access ------------------------------------------------------
 

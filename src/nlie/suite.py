@@ -3,7 +3,9 @@
 Every item is a named, seeded, self-contained check returning pass/fail
 plus a details line.  The frozen bracket tables below were derived by
 hand, independently of the constructors in structures.py, so the two
-routes cross-check each other.
+routes cross-check each other.  The table and Casimir items are data:
+each row of `items_bracket_tables` is run by `_table_item`, and each row
+of `items_casimir` by `_casimir_item`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import analysis, brackets, structures
 from .parser import parse_polynomial
@@ -70,12 +73,12 @@ _ELLIPTIC1_TABLE = [
 ]
 
 _QUADRIC_TABLES = {
-    2: [("x1 x2", "2x3"), ("x1 x3", "-2x2"), ("x2 x3", "2x1")],
-    3: [("x1 x2 x3", "2x4"), ("x1 x2 x4", "-2x3"),
-        ("x1 x3 x4", "2x2"), ("x2 x3 x4", "-2x1")],
-    4: [("x1 x2 x3 x4", "2x5"), ("x1 x2 x3 x5", "-2x4"),
-        ("x1 x2 x4 x5", "2x3"), ("x1 x3 x4 x5", "-2x2"),
-        ("x2 x3 x4 x5", "2x1")],
+    2: [("x1", "x2", "2x3"), ("x1", "x3", "-2x2"), ("x2", "x3", "2x1")],
+    3: [("x1", "x2", "x3", "2x4"), ("x1", "x2", "x4", "-2x3"),
+        ("x1", "x3", "x4", "2x2"), ("x2", "x3", "x4", "-2x1")],
+    4: [("x1", "x2", "x3", "x4", "2x5"), ("x1", "x2", "x3", "x5", "-2x4"),
+        ("x1", "x2", "x4", "x5", "2x3"), ("x1", "x3", "x4", "x5", "-2x2"),
+        ("x2", "x3", "x4", "x5", "2x1")],
 }
 
 _MALCEV_CANONICAL_TABLE = [
@@ -114,110 +117,81 @@ _MALCEV_SPLIT_TABLE = [
 ]
 
 
-def _check_table(bracket, ctx: VarContext,
-                 entries: Sequence[Tuple[str, ...]]) -> Tuple[bool, str, int]:
-    checked = 0
-    for row in entries:
-        *arg_names, expected_src = row
-        args = [parse_polynomial(nm, ctx) for nm in arg_names]
-        expected = parse_polynomial(expected_src, ctx)
-        got = bracket(*args)
-        checked += 1
-        if got != expected:
-            return False, (f"[{', '.join(arg_names)}] = {got}, "
-                           f"expected {expected}"), checked
-    return True, f"{checked} products match", checked
+def _table_item(make: Callable[[], structures.AlgebraSpec],
+                entries: Sequence[Tuple[str, ...]],
+                both: bool) -> Tuple[bool, str]:
+    """Check each (arg, ..., value) row of a frozen table.
+
+    The rows are checked on spec.bracket, or on the Jacobian and the
+    table bracket in turn when both is set.
+    """
+    spec = make()
+    forms = ((spec.jacobian_bracket(), spec.table_bracket()) if both
+             else (spec.bracket,))
+    for bracket in forms:
+        for *arg_names, expected_src in entries:
+            args = [parse_polynomial(nm, spec.ctx) for nm in arg_names]
+            expected = parse_polynomial(expected_src, spec.ctx)
+            got = bracket(*args)
+            if got != expected:
+                return False, (f"[{', '.join(arg_names)}] = {got}, "
+                               f"expected {expected}")
+    total = len(forms) * len(entries)
+    return True, (f"{total} products match on both bracket forms" if both
+                  else f"{total} products match")
+
+
+def _abg_specializes() -> Tuple[bool, str]:
+    one = structures.make_malcev_abg(1, 1, 1)
+    canon = structures.make_malcev_canonical()
+    for (i, j), value in sorted(canon.table.constants.items()):
+        expect = value.terms  # same exponent layout on renamed variables
+        got = one.table.entry((i, j)).terms
+        if got != expect:
+            return False, f"pair ({i},{j}) differs"
+    return True, "family at (1,1,1) reproduces the canonical table"
+
+
+def _splittable_sl2_triples() -> Tuple[bool, str]:
+    spec = structures.make_malcev_splittable()
+    ctx = spec.ctx
+    b = spec.bracket
+    for tr in (("x", "x'"), ("y", "y'"), ("z", "z'")):
+        u = parse_polynomial(tr[0], ctx)
+        v = parse_polynomial(tr[1], ctx)
+        hh = parse_polynomial("h", ctx)
+        if b(u, v) != hh or b(hh, u) != 2 * u or b(hh, v) != -2 * v:
+            return False, f"triple (h,{tr[0]},{tr[1]}) is not an sl2 copy"
+    return True, "each (h, u, u') triple multiplies like sl2"
 
 
 def items_bracket_tables() -> List[SuiteItem]:
-    items: List[SuiteItem] = []
-
-    def sl2_item():
-        spec = structures.make_sl2()
-        total = 0
-        for bracket in (spec.jacobian_bracket(), spec.table_bracket()):
-            ok, msg, n = _check_table(bracket, spec.ctx, _SL2_TABLE)
-            total += n
-            if not ok:
-                return False, msg
-        return True, f"{total} products match on both bracket forms"
-
-    items.append(SuiteItem("table.sl2", "sl2 bracket table, Jacobian and table forms",
-                           sl2_item))
-
-    def elliptic_item():
-        spec = structures.make_elliptic(1)
-        return _check_table(spec.bracket, spec.ctx, _ELLIPTIC1_TABLE)[:2]
-
-    items.append(SuiteItem("table.elliptic", "elliptic bracket table at alpha=1",
-                           elliptic_item))
-
-    for n, entries in _QUADRIC_TABLES.items():
-        def quadric_item(n=n, entries=entries):
-            spec = structures.make_quadric(n)
-            rows = [tuple(e[0].split()) + (e[1],) for e in entries]
-            total = 0
-            for bracket in (spec.jacobian_bracket(), spec.table_bracket()):
-                ok, msg, cnt = _check_table(bracket, spec.ctx, rows)
-                total += cnt
-                if not ok:
-                    return False, msg
-            return True, f"{total} products match on both bracket forms"
-
-        items.append(SuiteItem(f"table.quadric{n}",
-                               f"{n}-ary quadric bracket table, both forms",
-                               quadric_item))
-
-    def canonical_item():
-        spec = structures.make_malcev_canonical()
-        return _check_table(spec.bracket, spec.ctx, _MALCEV_CANONICAL_TABLE)[:2]
-
-    items.append(SuiteItem("table.malcev-canonical",
-                           "canonical 7-dim Malcev product table", canonical_item))
-
-    def abg_item():
-        spec = structures.make_malcev_abg(2, 3, 5)
-        return _check_table(spec.bracket, spec.ctx, _MALCEV_ABG235_TABLE)[:2]
-
-    items.append(SuiteItem("table.malcev-abg",
-                           "scaled Malcev family table at (2,3,5)", abg_item))
-
-    def split_item():
-        spec = structures.make_malcev_splittable()
-        return _check_table(spec.bracket, spec.ctx, _MALCEV_SPLIT_TABLE)[:2]
-
-    items.append(SuiteItem("table.malcev-splittable",
-                           "split Malcev product table incl. vanishing products",
-                           split_item))
-
-    def abg_specializes():
-        one = structures.make_malcev_abg(1, 1, 1)
-        canon = structures.make_malcev_canonical()
-        for (i, j), value in sorted(canon.table.constants.items()):
-            expect = value.terms  # same exponent layout on renamed variables
-            got = one.table.entry((i, j)).terms
-            if got != expect:
-                return False, f"pair ({i},{j}) differs"
-        return True, "family at (1,1,1) reproduces the canonical table"
-
+    battery = [
+        ("table.sl2", "sl2 bracket table, Jacobian and table forms",
+         structures.make_sl2, _SL2_TABLE, True),
+        ("table.elliptic", "elliptic bracket table at alpha=1",
+         partial(structures.make_elliptic, 1), _ELLIPTIC1_TABLE, False),
+    ] + [
+        (f"table.quadric{n}", f"{n}-ary quadric bracket table, both forms",
+         partial(structures.make_quadric, n), entries, True)
+        for n, entries in _QUADRIC_TABLES.items()
+    ] + [
+        ("table.malcev-canonical", "canonical 7-dim Malcev product table",
+         structures.make_malcev_canonical, _MALCEV_CANONICAL_TABLE, False),
+        ("table.malcev-abg", "scaled Malcev family table at (2,3,5)",
+         partial(structures.make_malcev_abg, 2, 3, 5), _MALCEV_ABG235_TABLE, False),
+        ("table.malcev-splittable",
+         "split Malcev product table incl. vanishing products",
+         structures.make_malcev_splittable, _MALCEV_SPLIT_TABLE, False),
+    ]
+    items = [SuiteItem(item_id, desc, partial(_table_item, make, entries, both))
+             for item_id, desc, make, entries, both in battery]
     items.append(SuiteItem("table.abg-specializes",
                            "(alpha,beta,gamma)=(1,1,1) specializes to canonical",
-                           abg_specializes))
-
-    def split_sl2_pairs():
-        spec = structures.make_malcev_splittable()
-        ctx = spec.ctx
-        b = spec.bracket
-        for tr in (("x", "x'"), ("y", "y'"), ("z", "z'")):
-            u = parse_polynomial(tr[0], ctx)
-            v = parse_polynomial(tr[1], ctx)
-            hh = parse_polynomial("h", ctx)
-            if b(u, v) != hh or b(hh, u) != 2 * u or b(hh, v) != -2 * v:
-                return False, f"triple (h,{tr[0]},{tr[1]}) is not an sl2 copy"
-        return True, "each (h, u, u') triple multiplies like sl2"
-
+                           _abg_specializes))
     items.append(SuiteItem("table.splittable-sl2-triples",
-                           "split form contains three sl2 triples", split_sl2_pairs))
+                           "split form contains three sl2 triples",
+                           _splittable_sl2_triples))
     return items
 
 
@@ -322,80 +296,54 @@ def items_quotient_constants() -> List[SuiteItem]:
 
 # -- Casimir centrality -----------------------------------------------------
 
+def _casimir_item(cases: Sequence[Tuple[str, Callable[[], structures.AlgebraSpec],
+                                         Sequence[str]]],
+                  ok_details: str) -> Tuple[bool, str]:
+    """Check that each case's Casimir is central on each of its routes.
+
+    A route is "jacobian" (2x2 minors against spec.jacobian_bracket())
+    or "table" (brackets with the generators of spec.table_bracket()).
+    """
+    for label, make, routes in cases:
+        spec = make()
+        for route in routes:
+            bracket = (spec.jacobian_bracket() if route == "jacobian"
+                       else spec.table_bracket())
+            ok, wit = analysis.center_membership(bracket, spec.casimir)
+            if not ok:
+                return False, f"{label}: witness {wit[:1]}"
+    return True, ok_details
+
+
 def items_casimir() -> List[SuiteItem]:
-    items: List[SuiteItem] = []
-
-    def sl2():
-        spec = structures.make_sl2()
-        ok_j, wit = analysis.center_membership_jacobian(
-            spec.jacobian_bracket(), spec.casimir)
-        ok_t, _ = analysis.center_membership_table(
-            spec.table_bracket(), spec.casimir)
-        if ok_j and ok_t:
-            return True, "central for both bracket forms"
-        return False, f"witnesses: {wit[:1]}"
-
-    items.append(SuiteItem("casimir.sl2", "sl2 Casimir h^2/2 + 2ef is central", sl2))
-
-    def elliptic():
-        for a in (0, 1, 2):
-            spec = structures.make_elliptic(a)
-            ok, wit = analysis.center_membership_jacobian(spec.bracket, spec.casimir)
-            if not ok:
-                return False, f"alpha={a}: {wit[:1]}"
-        return True, "central for alpha in {0, 1, 2}"
-
-    items.append(SuiteItem("casimir.elliptic",
-                           "elliptic Casimir is central for alpha in {0,1,2}",
-                           elliptic))
-
-    def quadrics():
-        for n in (2, 3, 4):
-            spec = structures.make_quadric(n)
-            ok, wit = analysis.center_membership_jacobian(
-                spec.jacobian_bracket(), spec.casimir)
-            ok2, _ = analysis.center_membership_table(
-                spec.table_bracket(), spec.casimir)
-            if not (ok and ok2):
-                return False, f"quadric({n}) fails: {wit[:1]}"
-        diag = structures.make_nlie_diagonal([1, -2, 3])
-        ok, wit = analysis.center_membership_table(diag.table_bracket(), diag.casimir)
-        if not ok:
-            return False, f"diagonal (1,-2,3) fails: {wit[:1]}"
-        return True, "central for arities 2-4 and a mixed-sign diagonal form"
-
-    items.append(SuiteItem("casimir.quadrics",
-                           "quadratic-form Casimirs are central, arities 2-4",
-                           quadrics))
-
-    def canonical():
-        spec = structures.make_malcev_canonical()
-        ok, wit = analysis.center_membership_table(spec.bracket, spec.casimir)
-        return ok, "sum of squares is central" if ok else f"witness {wit[:1]}"
-
-    items.append(SuiteItem("casimir.malcev-canonical",
-                           "canonical Malcev Casimir is central", canonical))
-
-    def abg_grid():
-        for a, b, g in itertools.product((1, 2, 3), repeat=3):
-            spec = structures.make_malcev_abg(a, b, g)
-            ok, wit = analysis.center_membership_table(spec.bracket, spec.casimir)
-            if not ok:
-                return False, f"({a},{b},{g}): witness {wit[:1]}"
-        return True, "central on the full {1,2,3}^3 parameter grid"
-
-    items.append(SuiteItem("casimir.malcev-abg-grid",
-                           "scaled Malcev Casimir central on a 27-point grid",
-                           abg_grid))
-
-    def split():
-        spec = structures.make_malcev_splittable()
-        ok, wit = analysis.center_membership_table(spec.bracket, spec.casimir)
-        return ok, "-(xx'+yy'+zz'+h^2/4) is central" if ok else f"witness {wit[:1]}"
-
-    items.append(SuiteItem("casimir.malcev-splittable",
-                           "split Malcev Casimir is central", split))
-    return items
+    battery = [
+        ("casimir.sl2", "sl2 Casimir h^2/2 + 2ef is central",
+         [("sl2", structures.make_sl2, ("jacobian", "table"))],
+         "central for both bracket forms"),
+        ("casimir.elliptic", "elliptic Casimir is central for alpha in {0,1,2}",
+         [(f"alpha={a}", partial(structures.make_elliptic, a), ("jacobian",))
+          for a in (0, 1, 2)],
+         "central for alpha in {0, 1, 2}"),
+        ("casimir.quadrics", "quadratic-form Casimirs are central, arities 2-4",
+         [(f"quadric({n})", partial(structures.make_quadric, n), ("jacobian", "table"))
+          for n in (2, 3, 4)]
+         + [("diagonal (1,-2,3)",
+             partial(structures.make_nlie_diagonal, [1, -2, 3]), ("table",))],
+         "central for arities 2-4 and a mixed-sign diagonal form"),
+        ("casimir.malcev-canonical", "canonical Malcev Casimir is central",
+         [("canonical", structures.make_malcev_canonical, ("table",))],
+         "sum of squares is central"),
+        ("casimir.malcev-abg-grid",
+         "scaled Malcev Casimir central on a 27-point grid",
+         [(f"({a},{b},{g})", partial(structures.make_malcev_abg, a, b, g), ("table",))
+          for a, b, g in itertools.product((1, 2, 3), repeat=3)],
+         "central on the full {1,2,3}^3 parameter grid"),
+        ("casimir.malcev-splittable", "split Malcev Casimir is central",
+         [("splittable", structures.make_malcev_splittable, ("table",))],
+         "-(xx'+yy'+zz'+h^2/4) is central"),
+    ]
+    return [SuiteItem(item_id, desc, partial(_casimir_item, cases, ok_details))
+            for item_id, desc, cases, ok_details in battery]
 
 
 # -- roots and closedness ----------------------------------------------------
@@ -665,10 +613,6 @@ def items_center(seed: int = 0) -> List[SuiteItem]:
 
 
 # -- assembly -----------------------------------------------------------------
-
-def casimir_suite_items() -> List[SuiteItem]:
-    return items_casimir()
-
 
 def paper_suite_items(seed: int = 0) -> List[SuiteItem]:
     items: List[SuiteItem] = []

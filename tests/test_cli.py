@@ -119,9 +119,16 @@ def test_verify_zero_trials_keeps_generator_phase(capsys):
     assert code == 0 and doc["data"]["trials"] > 0
 
 
-def test_center_negative_degree_exits_2(capsys):
-    code, out, err = run(capsys, "center", "--algebra", "sl2", "--degree", "-1")
-    assert code == 2 and out == "" and "--degree" in err
+@pytest.mark.parametrize("flag, args", [
+    ("--degree", ("center", "--algebra", "sl2", "--degree", "-1")),
+    ("--rounds", ("saturate", "--algebra", "sl2", "--lambda", "1", "--seed", "e",
+                  "--rounds", "0")),
+    ("--budget", ("saturate", "--algebra", "sl2", "--lambda", "1", "--seed", "e",
+                  "--budget", "-5")),
+], ids=["center-degree", "saturate-rounds", "saturate-budget"])
+def test_out_of_range_bound_exits_2(capsys, flag, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == "" and flag in err
 
 
 @pytest.mark.parametrize("args", [

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlie.groebner import (BudgetExhausted, DEFAULT_BUDGET, GREVLEX, LEX,
-                           MonomialOrder, StepBudget, buchberger, divexact,
-                           divide, mono_div, mono_divides, mono_lcm, mono_mul,
+                           MonomialOrder, StepBudget, buchberger, divide,
+                           mono_div, mono_divides, mono_lcm, mono_mul,
                            normal_form, spoly)
 from nlie.parser import parse_polynomial
 from nlie.poly import Polynomial, VarContext, context, grevlex_key
@@ -124,14 +124,6 @@ def test_divide_identity_and_irreducibility():
 def test_normal_form_frozen():
     assert normal_form(pp("(x + y)^2"), [pp("x + y")]).is_zero()
     assert normal_form(pp("x^2"), [pp("x + y")]) == pp("y^2")
-
-
-def test_divexact():
-    f = pp("(x + 2*y)^3")
-    g = pp("x + 2*y")
-    assert divexact(f, g, GREVLEX) == pp("(x + 2*y)^2")
-    with pytest.raises(ValueError):
-        divexact(pp("x^2 + 1"), g, GREVLEX)
 
 
 def test_spoly_cancels_leads():
