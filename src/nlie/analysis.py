@@ -6,8 +6,10 @@ finite checks:
 * kth_root / is_closed_homogeneous / minimal_root_homogeneous decide
   whether a homogeneous polynomial is a proper power.  kth_root expands
   the forced root candidate in powers of 1/x_j for a distinguished
-  variable x_j by J.C.P. Miller's power-series recurrence and verifies
-  it by one exact k-th power; the minimal root peels prime roots.
+  variable x_j by J.C.P. Miller's power-series recurrence on integer
+  numerators, rejects it at the all-ones point when it can, and
+  otherwise verifies it by one exact k-th power on integers; the
+  minimal root peels prime roots.
 
 * center_membership_* and center_probe decide centrality pointwise
   (2x2 Jacobian minors against C, or brackets against generator tuples)
@@ -27,12 +29,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .brackets import poly_det
 from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
-from .poly import Polynomial, VarContext
+from .poly import (Monomial, Polynomial, VarContext, _cleared, _int_mul, _int_pow,
+                   _raw)
 from .quotient import QuotientContext
 
 
@@ -129,16 +132,6 @@ class RootResult:
         return self.root is not None
 
 
-def _univariate_parts(f: Polynomial, j: int) -> Dict[int, Polynomial]:
-    """Split f by the power of variable j; values have that power removed."""
-    parts: Dict[int, dict] = {}
-    for mono, c in f.terms.items():
-        s = mono[j]
-        stripped = mono[:j] + (0,) + mono[j + 1:]
-        parts.setdefault(s, {})[stripped] = c
-    return {s: Polynomial(f.ctx, t) for s, t in parts.items()}
-
-
 def _root_with_leading(c_poly: Polynomial, k: int,
                        j: int) -> Tuple[Polynomial, Fraction]:
     """The forced k-th root candidate of C, monic in x_j, and its alpha.
@@ -153,31 +146,67 @@ def _root_with_leading(c_poly: Polynomial, k: int,
 
         b_n = 1/(n*k) * sum_{i=1..n} (i*(k+1) - n*k) * a_i * b_(n-i),
 
-    summed over the nonzero a_i and b_(n-i) only.  The candidate
-    sum_t b_t x_j^(m-t) is forced, so C is alpha times a k-th power iff
-    alpha * candidate^k == C; kth_root makes that one check.
+    summed over the nonzero a_i and b_(n-i) only.  It runs on integers:
+    with C cleared to numerators N over d, a_t is N's x_j^(D-t) part over
+    the numerator p of x_j^D, and each b_n is one integer term list over
+    one positive denominator, reduced by their gcd.  The weighted
+    products are summed by poly._int_mul over the lcm of the
+    denominators of the b_(n-i) used, and p*n*k joins the denominator.
+    The candidate sum_t b_t x_j^(m-t) is forced, so C is alpha times a
+    k-th power iff alpha * candidate^k == C; kth_root decides that.
     """
     ctx = c_poly.ctx
     big_d = c_poly.total_degree()
     m = big_d // k
-    pure = tuple(big_d if t == j else 0 for t in range(ctx.nvars))
-    alpha = c_poly.coefficient(pure)
-    if alpha == 0:
+    d, nums = _cleared(c_poly.terms)
+    lead = 0
+    a: Dict[int, List[Tuple[Monomial, int]]] = {}  # t -> numerators of a_t
+    for mono, v in nums:
+        t = big_d - mono[j]
+        if t == 0:
+            lead = v
+        elif t <= m:
+            a.setdefault(t, []).append((mono[:j] + (0,) + mono[j + 1:], v))
+    if not lead:
         raise ValueError("distinguished variable lacks its pure power")
-    a = {big_d - s: part for s, part in _univariate_parts(c_poly / alpha, j).items()
-         if 0 < big_d - s <= m}
-    b: Dict[int, Polynomial] = {0: ctx.one()}
-    zero = ctx.zero()
+    # n -> (denominator, numerators) of b_n; the nonzero b_n only
+    b = {0: (1, [((0,) * ctx.nvars, 1)])}
     for n in range(1, m + 1):
-        acc = sum((a_i * b[n - i] * (i * (k + 1) - n * k)
-                   for i, a_i in a.items() if i <= n and n - i in b), zero)
-        if acc:
-            b[n] = acc / (n * k)
+        parts = [(i * (k + 1) - n * k, a_i, b[n - i]) for i, a_i in a.items()
+                 if i <= n and n - i in b]
+        den = lcm(*[e for _, _, (e, _) in parts])
+        acc: Dict[Monomial, int] = {}
+        for w, a_i, (e, b_rest) in parts:
+            w *= den // e
+            if w:
+                _int_mul(a_i, [(mono, w * v) for mono, v in b_rest], acc)
+        vals = [v for v in acc.values() if v]
+        if vals:
+            den *= lead * n * k
+            g = gcd(den, *vals) if den > 0 else -gcd(den, *vals)
+            b[n] = den // g, [(mono, v // g) for mono, v in acc.items() if v]
     terms = {}
-    for t, coeff_poly in b.items():
-        for mono, c in coeff_poly.terms.items():
-            terms[mono[:j] + (m - t,) + mono[j + 1:]] = c
-    return Polynomial(ctx, terms), alpha
+    for t, (e, b_t) in b.items():
+        for mono, v in b_t:
+            terms[mono[:j] + (m - t,) + mono[j + 1:]] = Fraction(v, e)
+    return _raw(ctx, terms), Fraction(lead, d)
+
+
+def _is_scaled_power(c_poly: Polynomial, root: Polynomial, k: int,
+                     alpha: Fraction) -> bool:
+    """alpha * root^k == C, decided on cleared integers.
+
+    With root = R/e and C = N/d, the identity is
+    alpha.numerator * d * R^k == alpha.denominator * e^k * N, term by
+    term; R^k comes from poly._int_pow and no Fraction is built.
+    """
+    e, r = _cleared(root.terms)
+    d, nums = _cleared(c_poly.terms)
+    power = _int_pow(r, k)
+    if len(power) != len(nums):
+        return False
+    lhs, rhs = alpha.numerator * d, alpha.denominator * e ** k
+    return all(lhs * power.get(mono, 0) == rhs * v for mono, v in nums)
 
 
 def kth_root(c_poly: Polynomial, k: int) -> RootResult:
@@ -187,7 +216,10 @@ def kth_root(c_poly: Polynomial, k: int) -> RootResult:
     is monic in the distinguished variable and alpha absorbs the rest.
     Every nonzero homogeneous C is decided: when no variable has a pure
     top power, a shear x_i -> x_i + t_i*x_1 exposes one (see below).
-    The forced candidate is checked once, against C itself.
+    The forced candidate c is checked against C itself, first at the
+    all-ones point, where alpha * c(1,...,1)^k != C(1,...,1) rejects it
+    without forming any power, and then, if it agrees there, by the one
+    exact check alpha * c^k == C on cleared integers.
 
     Raises:
         NotHomogeneous: C not homogeneous or zero.
@@ -224,7 +256,9 @@ def kth_root(c_poly: Polynomial, k: int) -> RootResult:
         back = {names[i]: ctx.variable(i) - t * x1 for i, t in enumerate(shear, 1)}
         root, alpha = _root_with_leading(c_poly.substitute(fwd), k, 0)
         root = root.substitute(back)
-    if alpha * root ** k == c_poly:
+    ones = (1,) * ctx.nvars
+    if (alpha * root.evaluate(ones) ** k == c_poly.evaluate(ones)
+            and _is_scaled_power(c_poly, root, k, alpha)):
         return RootResult(k, root, alpha)
     return RootResult(k, None, None,
                       f"forced candidate fails verification for k={k}")
@@ -262,7 +296,10 @@ def minimal_root_homogeneous(c_poly: Polynomial) -> MinimalRoot:
     the gcd g of its factor multiplicities, so the peeled primes
     multiply to k = g.  Each peeled root keeps kth_root's normalisation
     (monic in the same distinguished variable, or 1 at the same shear
-    point), so c is the root kth_root(C, g) would return.  A closed C
+    point), so c is the root kth_root(C, g) would return.  A failed peel
+    costs one integer recurrence, and no power when its candidate
+    already misses C at the all-ones point; only an accepted peel, or a
+    candidate that agrees there, forms its p-th power.  A closed C
     comes back monic (grevlex leading coefficient normalized to one)
     with k = 1.
     """

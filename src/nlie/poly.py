@@ -14,9 +14,12 @@ Products (and so powers and substitution) run on cleared denominators:
 each operand is written once as integer numerators over the lcm d of
 its denominators, the term pairs sum as plain ints in `_int_mul`, and
 each surviving sum is divided by d_a * d_b once at the end.  No Fraction
-is built or normalised inside the pair loop.  The bracket kernel and
-the determinants in nlie.brackets call the same `_int_mul` on their own
-cleared numerators and never build an intermediate Polynomial.
+is built or normalised inside the pair loop.  A power clears its base
+once and squares the numerators in `_int_pow`, so its intermediate
+squares are never Polynomials either.  The bracket kernel and the
+determinants in nlie.brackets call the same `_int_mul` on their own
+cleared numerators, and the root check in nlie.analysis calls the same
+`_int_pow`.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class VarContext:
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range")
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {mono: _ONE})
+        return _raw(self, {mono: _ONE})
 
     def gens(self) -> Tuple["Polynomial", ...]:
         """All context variables as polynomials, in context order."""
@@ -217,17 +220,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        """k-th power: the cleared numerators are raised by `_int_pow`,
+        then each term is divided by d^k once."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base2 = base * base if k > 1 else base
-            base = base2
-            k >>= 1
-        return result
+        if k == 0:
+            return self.ctx.one()
+        d, items = _cleared(self.terms)
+        return _from_ints(self.ctx, _int_pow(items, k).items(), d ** k)
 
     def __truediv__(self, scalar: Scalar) -> "Polynomial":
         q = Fraction(scalar)
@@ -304,21 +304,27 @@ class Polynomial:
 
         With the coefficients cleared to integers over d, the point written
         as integers over q and D = max(deg, 0), d * q^D * f(point) is a sum
-        of integers; only the result is a Fraction.
+        of integers; only the result is a Fraction.  Coordinates whose
+        integer is 1 are skipped, so at the all-ones point this is the sum
+        of the numerators.
         """
         if len(point) != self.ctx.nvars:
             raise ValueError("point has wrong length")
         vals = [Fraction(v) for v in point]
         q = lcm(*[v.denominator for v in vals])
         nums = [v.numerator * (q // v.denominator) for v in vals]
+        live = [(i, v) for i, v in enumerate(nums) if v != 1]
         top = max(self.total_degree(), 0)
         d, items = _cleared(self.terms)
         total = 0
         for mono, c in items:
-            for v, e in zip(nums, mono):
+            for i, v in live:
+                e = mono[i]
                 if e:
                     c *= v ** e
-            total += c * q ** (top - sum(mono))
+            if q != 1:
+                c *= q ** (top - sum(mono))
+            total += c
         return Fraction(total, d * q ** top)
 
     def homogeneous_components(self) -> Dict[int, "Polynomial"]:
@@ -398,6 +404,35 @@ def _int_mul(a: Iterable[Tuple[Monomial, int]], b: Collection[Tuple[Monomial, in
             mono = tuple(map(add, ma, mb))
             out[mono] = get(mono, 0) + ca * cb
     return out
+
+
+def _int_square(items: List[Tuple[Monomial, int]]) -> List[Tuple[Monomial, int]]:
+    # The square step of _int_pow, zero sums dropped: each unordered pair
+    # of terms is multiplied once, by `_int_mul`, with its weight 2.
+    out: Dict[Monomial, int] = {}
+    for i, (mono, c) in enumerate(items):
+        sq = tuple(map(add, mono, mono))
+        out[sq] = out.get(sq, 0) + c * c
+        _int_mul(((mono, 2 * c),), items[i + 1:], out)
+    return [t for t in out.items() if t[1]]
+
+
+def _int_pow(items: List[Tuple[Monomial, int]], k: int) -> Dict[Monomial, int]:
+    """The k-th power (k >= 1) of an integer term list, zero sums dropped.
+
+    The one power routine, behind Polynomial.__pow__ and the root check:
+    repeated squaring, each square over unordered term pairs and each
+    other product by `_int_mul`.
+    """
+    result: Optional[List[Tuple[Monomial, int]]] = None
+    while True:
+        if k & 1:
+            result = items if result is None else [
+                t for t in _int_mul(result, items, {}).items() if t[1]]
+        k >>= 1
+        if not k:
+            return dict(result)
+        items = _int_square(items)
 
 
 def _raw(ctx: VarContext, terms: Dict[Monomial, Fraction]) -> Polynomial:

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nlie import analysis, poly
 from nlie.analysis import (NotHomogeneous, center_membership,
                            center_membership_jacobian, center_membership_table,
                            center_probe, is_closed_homogeneous, kth_root,
@@ -224,6 +225,35 @@ def test_root_family_normalisation_is_pinned(src, ctx, k, want):
     assert (str(res.root), str(res.alpha), res.reason) == (root, alpha, "")
     assert (str(mr.root), str(mr.alpha), mr.k) == (root, alpha, k)
     assert (rep.closed, rep.witness_k, str(rep.witness_root)) == (False, k, root)
+
+
+def test_candidate_agreeing_at_ones_gets_the_full_check(monkeypatch):
+    # x + y is the forced square-root candidate; it and C are 2 and 4 at
+    # (1, 1, 1), so only the exact check alpha * c^k == C rejects it
+    calls = []
+    real = analysis._int_pow
+    monkeypatch.setattr(analysis, "_int_pow",
+                        lambda items, k: calls.append(k) or real(items, k))
+    res = kth_root(pp("(x + y)^2 + y^2 - z^2"), 2)
+    assert (res.root, res.alpha) == (None, None)
+    assert res.reason == "forced candidate fails verification for k=2"
+    assert calls == [2]
+
+
+def test_candidate_rejected_at_ones_forms_no_power(monkeypatch):
+    # c(1, 1, 1) = -1, so C(1, 1, 1) = -alpha while alpha * r(1, 1, 1)^2
+    # has the sign of alpha or is 0: the point rejects every candidate
+    c = pp("x^2 + y^2 - 3*x*z")
+    target = Fraction(-5, 2) * c ** 3
+
+    def boom(items, k):
+        raise AssertionError("a rejected candidate formed a power")
+
+    monkeypatch.setattr(analysis, "_int_pow", boom)
+    monkeypatch.setattr(poly, "_int_pow", boom)
+    res = kth_root(target, 2)
+    assert not res.found
+    assert res.reason == "forced candidate fails verification for k=2"
 
 
 # -- exact linear algebra ----------------------------------------------

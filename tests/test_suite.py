@@ -33,3 +33,22 @@ def test_casimir_item_reports_witness(route):
     assert not ok
     assert details.startswith("e in sl2: witness [")
 
+
+
+def test_elliptic_table_route_reports_witness():
+    # the table comes from frozen rows, so a C that is not central fails
+    def make():
+        spec = suite._elliptic_with_table(1)
+        return dataclasses.replace(spec, casimir=spec.ctx.variable("x") ** 3)
+
+    ok, details = suite._casimir_item([("alpha=1", make, ("table",))], "unused")
+    assert not ok
+    assert details.startswith("alpha=1: witness [")
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_elliptic_frozen_rows_match_the_jacobian_bracket(alpha):
+    spec = suite._elliptic_with_table(alpha)
+    table, jacobian = spec.table_bracket(), spec.jacobian_bracket()
+    gens = spec.ctx.gens()
+    assert all(table(u, v) == jacobian(u, v) for u in gens for v in gens)
