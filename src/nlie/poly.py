@@ -16,10 +16,10 @@ its denominators, the term pairs sum as plain ints in `_int_mul`, and
 each surviving sum is divided by d_a * d_b once at the end.  No Fraction
 is built or normalised inside the pair loop.  A power clears its base
 once and squares the numerators in `_int_pow`, so its intermediate
-squares are never Polynomials either.  The bracket kernel and the
-determinants in nlie.brackets call the same `_int_mul` on their own
-cleared numerators, and the root check in nlie.analysis calls the same
-`_int_pow`.
+squares are never Polynomials either.  The root check in nlie.analysis
+calls the same `_int_pow`.  The bracket kernel and the determinants in
+nlie.brackets run this pair loop on cleared numerators whose monomials
+they pack into ints (`brackets._packed_mul`).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ which shares no code with them, on integer and on mixed-denominator
 Fraction coefficients.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,14 +15,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlie.brackets import (ArityMismatch, JacobianBracket, ternary_jacobian,
+from nlie.brackets import (VERIFIERS, ArityMismatch, JacobianBracket, TableBracket,
+                           _apply_field, _int_field, _packing, ternary_jacobian,
                            jacobian, poly_det, random_homogeneous,
                            random_polynomial, verify_filippov, verify_leibniz,
                            verify_malcev, verify_skew, verify_strong)
 from nlie.parser import parse_polynomial
-from nlie.poly import Polynomial, VarContext, context
-from nlie.structures import (make_elliptic, make_malcev_splittable, make_nlie,
-                             make_quadric, make_sl2)
+from nlie.poly import Polynomial, VarContext, _cleared, context
+from nlie.structures import (StructureTable, make_elliptic, make_malcev_splittable,
+                             make_nlie, make_quadric, make_sl2)
 
 
 def test_poly_det():
@@ -161,6 +163,96 @@ def test_report_trial_accounting():
     assert report.failure_count == 0 and report.failures == []
 
 
+# -- the verifiers against plain Polynomial arithmetic ----------------------
+
+def _reference_defects(identity, b, trials, seed):
+    """(defect, inputs) of every check of `identity`, in the verifier's
+    order, from Polynomial arithmetic and bracket calls only."""
+    ctx, n = b.ctx, b.arity
+    gens = ctx.gens()
+    rng = random.Random(seed)
+    if identity == "malcev":
+        def defect(a, y, c):
+            return (b(ternary_jacobian(b, a, y, c), a)
+                    - ternary_jacobian(b, a, y, b(a, c)))
+        triples = list(itertools.product(gens, repeat=3))
+        triples += [tuple(random_polynomial(rng, ctx, max_degree=1) for _ in range(3))
+                    for _ in range(trials)]
+        return [(defect(*abc), abc) for abc in triples]
+    if identity == "filippov":
+        nu, nv = n, n - 1
+
+        def defect(us, vs):
+            rhs = ctx.zero()
+            for i in range(n):
+                rhs = rhs + b(*(us[:i] + [b(us[i], *vs)] + us[i + 1:]))
+            return b(b(*us), *vs) - rhs
+    else:  # strong
+        nu, nv = n - 1, n + 1
+
+        def defect(us, vs):
+            return sum(((-1) ** (i + 1) * b(*us, v) * b(*(vs[:i] + vs[i + 1:]))
+                        for i, v in enumerate(vs)), ctx.zero())
+    blocks = [([gens[i] for i in ui], [gens[i] for i in vi])
+              for ui in itertools.combinations(range(ctx.nvars), nu)
+              for vi in itertools.combinations(range(ctx.nvars), nv)]
+    for _ in range(trials):
+        us = [random_polynomial(rng, ctx) for _ in range(nu)]
+        blocks.append((us, [random_polynomial(rng, ctx) for _ in range(nv)]))
+    return [(defect(us, vs), us + vs) for us, vs in blocks]
+
+
+def _random_table_bracket(nvars, arity, seed):
+    # a table bracket with random linear values: no identity beyond
+    # skew and Leibniz holds, so its defects are nonzero
+    rng = random.Random(seed)
+    ctx = _ctx(nvars)
+    constants = {idxs: Polynomial(ctx, {tuple(int(k == j) for k in range(nvars)):
+                                        rng.randint(-3, 3) for j in range(nvars)})
+                 for idxs in itertools.combinations(range(nvars), arity)}
+    return TableBracket(StructureTable(ctx, arity, constants))
+
+
+@pytest.mark.parametrize("identity, make", [
+    ("filippov", lambda: _random_table_bracket(3, 2, 1)),
+    ("filippov", lambda: _random_table_bracket(4, 3, 2)),
+    ("filippov", lambda: make_quadric(3).bracket),
+    # a bivector in three variables, or a trivector in four, always has
+    # the rank the strong identity needs, so these take more variables
+    ("strong", lambda: _random_table_bracket(4, 2, 3)),
+    ("strong", lambda: _random_table_bracket(5, 3, 4)),
+    ("strong", lambda: make_elliptic(1).bracket),
+    ("malcev", lambda: _random_table_bracket(3, 2, 5)),
+    ("malcev", lambda: make_malcev_splittable().bracket),
+])
+def test_verifiers_match_polynomial_arithmetic(identity, make):
+    # the verifiers run on packed integers and share fields between the
+    # brackets of a check; the report must be the one plain arithmetic gives
+    b = make()
+    report = VERIFIERS[identity](b, trials=4, seed=7)
+    failures = [(d, inputs) for d, inputs in _reference_defects(identity, b, 4, 7)
+                if not d.is_zero()]
+    assert report.trials == len(_reference_defects(identity, b, 4, 7))
+    assert report.failure_count == len(failures)
+    assert [(f["defect"], f["inputs"]) for f in report.failures] == \
+        [(str(d), [str(p) for p in inputs]) for d, inputs in failures[:12]]
+
+
+def test_packing_refuses_a_degree_it_cannot_hold():
+    packing = _packing(3, 5)  # 3 bits a field: total degrees up to 7
+    packing.check(7)
+    with pytest.raises(OverflowError):
+        packing.check(8)
+    ctx = _ctx(3)
+    x, y, z = ctx.gens()
+    b = JacobianBracket(x * y * z)
+    low = [(1, packing.pack(_cleared(p.terms)[1])) for p in (x, y)]
+    field = _int_field(b._coeffs, low[1:], packing, 1)
+    high = (1, packing.pack(_cleared((x * y).terms)[1]))
+    with pytest.raises(OverflowError):
+        _apply_field(field, high, packing)
+
+
 # -- property tests against independent references -------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -274,6 +366,18 @@ def test_nlie_table_agrees_with_jacobian_on_random_forms(case):
     got = make_nlie(form).table_bracket()(*fs)
     _assert_canonical(got)
     assert got == JacobianBracket(form)(*fs)
+
+
+@PROPERTY
+@given(st.tuples(*[polynomials(_ctx(3), max_exp=40, max_terms=3)] * 3))
+def test_jacobian_bracket_matches_sympy_at_high_degree(polys):
+    # exponents up to 40 and degrees up to 120 cross several packing
+    # widths; a carry between exponent fields would show here
+    *fs, casimir = polys
+    got = JacobianBracket(casimir)(*fs)
+    _assert_canonical(got)
+    expected, syms = _sympy_jacobian(polys)
+    assert sympy.expand(expected - _to_sympy(got, syms)) == 0
 
 
 def test_one_variable_jacobian_bracket_is_rejected():
