@@ -6,10 +6,12 @@ finite checks:
 * kth_root / is_closed_homogeneous / minimal_root_homogeneous decide
   whether a homogeneous polynomial is a proper power.  kth_root expands
   the forced root candidate in powers of 1/x_j for a distinguished
-  variable x_j by J.C.P. Miller's power-series recurrence on integer
-  numerators, rejects it at the all-ones point when it can, and
-  otherwise verifies it by one exact k-th power on integers; the
-  minimal root peels prime roots.
+  variable x_j by J.C.P. Miller's power-series recurrence, rejects it at
+  the all-ones point when it can, and otherwise verifies it by one exact
+  k-th power.  Both run on the packed integer layer of nlie.poly: C is
+  packed once (`poly._pack`), the recurrence sums its products with
+  `poly._int_mul`, and the power is `poly._int_pow`.  The minimal root
+  peels prime roots.
 
 * center_membership_* and center_probe decide centrality pointwise
   (2x2 Jacobian minors against C, or brackets against generator tuples)
@@ -34,7 +36,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .brackets import poly_det
 from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
-from .poly import (Monomial, Polynomial, VarContext, _cleared, _int_mul, _int_pow,
+from .poly import (Polynomial, VarContext, _int_mul, _int_pow, _pack, _packing,
                    _raw)
 from .quotient import QuotientContext
 
@@ -149,8 +151,9 @@ def _root_with_leading(c_poly: Polynomial, k: int,
     summed over the nonzero a_i and b_(n-i) only.  It runs on integers:
     with C cleared to numerators N over d, a_t is N's x_j^(D-t) part over
     the numerator p of x_j^D, and each b_n is one integer term list over
-    one positive denominator, reduced by their gcd.  The weighted
-    products are summed by poly._int_mul over the lcm of the
+    one positive denominator, reduced by their gcd.  C is packed once,
+    with room for its degree D, which bounds every product here.  The
+    weighted products are summed by poly._int_mul over the lcm of the
     denominators of the b_(n-i) used, and p*n*k joins the denominator.
     The candidate sum_t b_t x_j^(m-t) is forced, so C is alpha times a
     k-th power iff alpha * candidate^k == C; kth_root decides that.
@@ -158,24 +161,28 @@ def _root_with_leading(c_poly: Polynomial, k: int,
     ctx = c_poly.ctx
     big_d = c_poly.total_degree()
     m = big_d // k
-    d, nums = _cleared(c_poly.terms)
+    packing = _packing(ctx.nvars, big_d)
+    d, nums = _pack(packing, c_poly.terms)
+    x_j = packing.units[j]
+    shift, mask = packing.w * j, packing.limit - 1
     lead = 0
-    a: Dict[int, List[Tuple[Monomial, int]]] = {}  # t -> numerators of a_t
+    a: Dict[int, List[Tuple[int, int]]] = {}  # t -> numerators of a_t
     for mono, v in nums:
-        t = big_d - mono[j]
+        e = (mono >> shift) & mask
+        t = big_d - e
         if t == 0:
             lead = v
         elif t <= m:
-            a.setdefault(t, []).append((mono[:j] + (0,) + mono[j + 1:], v))
+            a.setdefault(t, []).append((mono - e * x_j, v))
     if not lead:
         raise ValueError("distinguished variable lacks its pure power")
     # n -> (denominator, numerators) of b_n; the nonzero b_n only
-    b = {0: (1, [((0,) * ctx.nvars, 1)])}
+    b = {0: (1, [(0, 1)])}
     for n in range(1, m + 1):
         parts = [(i * (k + 1) - n * k, a_i, b[n - i]) for i, a_i in a.items()
                  if i <= n and n - i in b]
         den = lcm(*[e for _, _, (e, _) in parts])
-        acc: Dict[Monomial, int] = {}
+        acc: Dict[int, int] = {}
         for w, a_i, (e, b_rest) in parts:
             w *= den // e
             if w:
@@ -185,23 +192,23 @@ def _root_with_leading(c_poly: Polynomial, k: int,
             den *= lead * n * k
             g = gcd(den, *vals) if den > 0 else -gcd(den, *vals)
             b[n] = den // g, [(mono, v // g) for mono, v in acc.items() if v]
-    terms = {}
-    for t, (e, b_t) in b.items():
-        for mono, v in b_t:
-            terms[mono[:j] + (m - t,) + mono[j + 1:]] = Fraction(v, e)
-    return _raw(ctx, terms), Fraction(lead, d)
+    root = [(mono + (m - t) * x_j, Fraction(v, e))
+            for t, (e, b_t) in b.items() for mono, v in b_t]
+    return _raw(ctx, dict(packing.unpack(root))), Fraction(lead, d)
 
 
 def _is_scaled_power(c_poly: Polynomial, root: Polynomial, k: int,
                      alpha: Fraction) -> bool:
     """alpha * root^k == C, decided on cleared integers.
 
-    With root = R/e and C = N/d, the identity is
-    alpha.numerator * d * R^k == alpha.denominator * e^k * N, term by
-    term; R^k comes from poly._int_pow and no Fraction is built.
+    With root = R/e and C = N/d, both packed with room for the degree of
+    C, the identity is alpha.numerator * d * R^k == alpha.denominator *
+    e^k * N, term by term; R^k comes from poly._int_pow and no Fraction
+    is built.
     """
-    e, r = _cleared(root.terms)
-    d, nums = _cleared(c_poly.terms)
+    packing = _packing(c_poly.ctx.nvars, c_poly.total_degree())
+    e, r = _pack(packing, root.terms)
+    d, nums = _pack(packing, c_poly.terms)
     power = _int_pow(r, k)
     if len(power) != len(nums):
         return False

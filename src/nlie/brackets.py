@@ -1,16 +1,16 @@
 """n-ary brackets on polynomial algebras and identity verification.
 
 Both bracket constructions are sums of n x n minors of the arguments,
-sum over keys I of det(df_a/dx_{I_b}) * c_I, and share one kernel that
-evaluates that sum over a precomputed list of nonzero coefficients.  The
-kernel runs on integers: each argument is cleared once to integer
-numerators over its denominator d_a, the c_I once per bracket over one
-common denominator E, and monomials are packed into ints (`_Packing`),
-so that a product of monomials is one int addition.  The bracket with
-its last n-1 arguments fixed is a derivation in the first; the kernel
-forms its coefficients (`_field_terms`) from one integer Laplace expansion
-of the fixed rows (`_int_det`) and applies them to the first argument.
-Each term of the result becomes one Fraction over E * prod(d_a).
+sum over keys I of det(df_a/dx_{I_b}) * c_I, and share one kernel,
+`_int_bracket`, that evaluates that sum over a precomputed list of
+nonzero coefficients.  The kernel runs on the packed integer layer of
+nlie.poly: a call packs each argument once (`poly._pack`), the c_I are
+cleared once per bracket over one common denominator E, every product
+goes through `poly._int_mul`, and each term of the result becomes one
+Fraction over E * prod(d_a) (`poly._polynomial`).  The bracket with its
+last n-1 arguments fixed is a derivation in the first; the kernel forms
+its coefficients (`_field_terms`) from one integer Laplace expansion of
+the fixed rows (`_int_det`) and applies them to the first argument.
 
 * JacobianBracket: the n-ary bracket on K[x_1..x_{n+1}] given by the
   Jacobian determinant {f_1,...,f_n} = det d(f_1,...,f_n,C)/dx with a
@@ -21,7 +21,7 @@ Each term of the result becomes one Fraction over E * prod(d_a).
   generators to a multiderivation of the polynomial algebra; c_I is the
   product [e_{i_1},...,e_{i_n}] on each increasing index tuple I.
 
-`poly_det` clears each row of a polynomial matrix once and runs the same
+`poly_det` packs each row of a polynomial matrix once and runs the same
 integer determinant; `jacobian` is the full determinant through it.  As
 all of these share one determinant, the property tests in
 tests/test_brackets.py check them against sympy.
@@ -43,13 +43,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import Monomial, Polynomial, VarContext, _cleared, _from_ints, _raw
+from .poly import (Monomial, Polynomial, VarContext, _int_mul, _pack, _packing,
+                   _PackedPoly, _PackedValue, _Packing, _polynomial, _raw)
 
 MAX_STORED_FAILURES = 12
 
@@ -58,97 +57,12 @@ class ArityMismatch(ValueError):
     """Raised when a bracket receives the wrong number of arguments."""
 
 
-# An integer polynomial is a list of (monomial, int) pairs with distinct
-# monomials.  Inside the kernel monomials are packed into ints
-# (`_Packing`); a packed value (d, items) is the polynomial
-# sum(v/d * x^m) over its items, d positive but not necessarily least,
-# and an integer row maps a column to its nonzero entry on packed
-# monomials, a missing column being zero.
-_IntPoly = List[Tuple[Monomial, int]]
-_PackedPoly = List[Tuple[int, int]]
-_PackedValue = Tuple[int, _PackedPoly]
+# The kernel works on packed values (poly._pack).  An integer row maps a
+# column to its nonzero entry, a missing column being zero.
 _IntRow = Dict[int, _PackedPoly]
 # for each variable j, the keys I containing j as (I - j, its bit mask,
 # (-1)^p * c_I packed) with p the position of j in I
 _ByVar = Tuple[Tuple[Tuple[Tuple[int, ...], int, _PackedPoly], ...], ...]
-
-
-class _Packing:
-    """Monomials in nvars variables packed into ints, for degrees < 2^w.
-
-    Exponent e_j sits in bits [w*j, w*(j+1)) and the total degree above
-    them, from bit w*nvars on.  While every total degree is below 2^w no
-    exponent carries into the next field, so the product of two
-    monomials is one int addition, a partial in x_j subtracts
-    2^(w*j) + 2^(w*nvars), and the largest int of a term list holds its
-    degree.  `check` raises before a product could leave that range.
-    """
-
-    __slots__ = ("w", "nvars", "weights", "top", "shift", "limit")
-
-    def __init__(self, nvars: int, w: int) -> None:
-        self.w = w
-        self.nvars = nvars
-        self.weights = tuple(1 << (w * j) for j in range(nvars))
-        self.shift = w * nvars
-        self.top = 1 << self.shift
-        self.limit = 1 << w
-
-    def check(self, degree: int) -> None:
-        if degree >= self.limit:
-            raise OverflowError(f"degree {degree} exceeds the packing bound {self.limit}")
-
-    def pack(self, items: _IntPoly) -> _PackedPoly:
-        weights, top = self.weights, self.top
-        return [(sum(map(mul, m, weights)) + top * sum(m), c) for m, c in items]
-
-    def unpack(self, items: Iterable[Tuple[int, int]]) -> _IntPoly:
-        # the nonzero terms, monomials back as tuples
-        mask = self.limit - 1
-        shifts = range(0, self.shift, self.w)
-        return [(tuple([(m >> s) & mask for s in shifts]), v) for m, v in items if v]
-
-    def degree(self, items: _PackedPoly) -> int:
-        return max([m for m, _ in items], default=0) >> self.shift
-
-    def partials(self, items: _PackedPoly) -> _IntRow:
-        """The nonzero partials of a packed polynomial, keyed by variable.
-
-        Only the variables it uses get an entry.  Distinct monomials have
-        distinct partials in one variable, so no sum can cancel.
-        """
-        grads: _IntRow = {}
-        w, mask, top = self.w, self.limit - 1, self.top
-        for m, c in items:
-            shift = 0
-            for j, weight in enumerate(self.weights):
-                e = (m >> shift) & mask
-                if e:
-                    grads.setdefault(j, []).append((m - weight - top, c * e))
-                shift += w
-        return grads
-
-    def tuple_partials(self, items: _IntPoly) -> _IntRow:
-        """`partials` of an integer polynomial, packed."""
-        grads: _IntRow = {}
-        weights, top = self.weights, self.top
-        for mono, c in items:
-            packed = sum(map(mul, mono, weights)) + top * sum(mono)
-            for j, e in enumerate(mono):
-                if e:
-                    grads.setdefault(j, []).append((packed - weights[j] - top, c * e))
-        return grads
-
-
-@lru_cache(maxsize=128)
-def _packing_of_width(nvars: int, w: int) -> _Packing:
-    # a _Packing is never changed after construction, so calls share one
-    return _Packing(nvars, w)
-
-
-def _packing(nvars: int, degree: int) -> _Packing:
-    """The packing of nvars variables that holds every total degree <= degree."""
-    return _packing_of_width(nvars, max(degree, 1).bit_length())
 
 
 def _var_mask(row: _IntRow) -> int:
@@ -157,20 +71,6 @@ def _var_mask(row: _IntRow) -> int:
     for j in row:
         mask |= 1 << j
     return mask
-
-
-def _packed_mul(a: _PackedPoly, b: _PackedPoly, out: Dict[int, int]) -> None:
-    # poly._int_mul on packed monomials: the kernel's one pair loop.  Sums
-    # that cancel stay in out as 0; the caller drops them.
-    get = out.get
-    for ma, ca in a:
-        for mb, cb in b:
-            mono = ma + mb
-            out[mono] = get(mono, 0) + ca * cb
-
-
-def _degree(items: _IntPoly) -> int:
-    return max([sum(m) for m, _ in items], default=0)
 
 
 def _int_det(rows: Sequence[_IntRow], cols: Tuple[int, ...],
@@ -200,7 +100,7 @@ def _int_det(rows: Sequence[_IntRow], cols: Tuple[int, ...],
         if sub:
             if k % 2:
                 entry = [(m, -v) for m, v in entry]
-            _packed_mul(entry, sub, out)
+            _int_mul(entry, sub, out)
     got = [(m, v) for m, v in out.items() if v]
     memo[cols] = got
     return got
@@ -228,18 +128,17 @@ def poly_det(rows: Sequence[Sequence[Polynomial]], ctx: VarContext,
     if n == 0:
         return ctx.one()
     cols = tuple(cols)
-    cleared = []
+    # a term of the determinant takes one entry from each row
+    packing = _packing(ctx.nvars, sum(
+        max([0] + [row[c].total_degree() for c in cols]) for row in rows))
+    int_rows = []
     denom = 1
     for row in rows:
         entries = {c: row[c].terms for c in cols if row[c]}
         d = lcm(*[q.denominator for t in entries.values() for q in t.values()])
         denom *= d
-        cleared.append({c: _cleared(t, d)[1] for c, t in entries.items()})
-    # a term of the determinant takes one entry from each row
-    packing = _packing(ctx.nvars, sum(
-        max([_degree(t) for t in row.values()], default=0) for row in cleared))
-    int_rows = [{c: packing.pack(t) for c, t in row.items()} for row in cleared]
-    return _from_ints(ctx, packing.unpack(_int_det(int_rows, cols, {})), denom)
+        int_rows.append({c: _pack(packing, t, d)[1] for c, t in entries.items()})
+    return _polynomial(ctx, packing, (denom, _int_det(int_rows, cols, {})))
 
 
 def jacobian(fs: Sequence[Polynomial]) -> Polynomial:
@@ -265,18 +164,18 @@ class _Coeffs:
     """The cleared coefficients of a bracket.
 
     One common denominator E; for each nonzero c_I in `keyed` the key I
-    and the integer numerators of c_I over E; `degree`, the largest total
-    degree of a c_I.  `by_var` regroups them by variable, packed, once
-    per packing width.
+    and the terms of c_I; `degree`, the largest total degree of a c_I.
+    `by_var` regroups them by variable, packed over E, once per packing
+    width.
     """
 
     __slots__ = ("E", "keyed", "degree", "_by_var")
 
     def __init__(self, coeffs: Iterable[Tuple[Tuple[int, ...], Polynomial]]) -> None:
-        coeffs = [(idxs, c.terms) for idxs, c in coeffs if c]
-        self.E = E = lcm(*[q.denominator for _, t in coeffs for q in t.values()])
-        self.keyed = tuple((idxs, _cleared(t, E)[1]) for idxs, t in coeffs)
-        self.degree = max([_degree(c) for _, c in self.keyed], default=0)
+        coeffs = [(idxs, c) for idxs, c in coeffs if c]
+        self.E = E = lcm(*[q.denominator for _, c in coeffs for q in c.terms.values()])
+        self.keyed = tuple((idxs, c.terms) for idxs, c in coeffs)
+        self.degree = max([c.total_degree() for _, c in coeffs], default=0)
         self._by_var: Dict[int, _ByVar] = {}
 
     def by_var(self, packing: _Packing) -> _ByVar:
@@ -284,7 +183,7 @@ class _Coeffs:
         if got is None:
             lists: List[list] = [[] for _ in range(packing.nvars)]
             for idxs, c in self.keyed:
-                packed = packing.pack(c)
+                packed = _pack(packing, c, self.E)[1]
                 negated = [(m, -v) for m, v in packed]
                 for pos, j in enumerate(idxs):
                     rest = idxs[:pos] + idxs[pos + 1:]
@@ -322,7 +221,7 @@ def _field_terms(coeffs: _Coeffs, rows: Sequence[_IntRow], packing: _Packing,
             else:
                 minor = _int_det(rows, rest, memo) if rows else [(0, 1)]
                 if minor:
-                    _packed_mul(minor, coeff, acc)
+                    _int_mul(minor, coeff, acc)
         entry = [(m, v) for m, v in acc.items() if v]
         if entry:
             K[j] = entry
@@ -335,36 +234,38 @@ def _apply_terms(K: Dict[int, _PackedPoly], row: _IntRow) -> Dict[int, int]:
     for j, entry in row.items():
         kj = K.get(j)
         if kj:
-            _packed_mul(entry, kj, acc)
+            _int_mul(entry, kj, acc)
     return acc
 
 
-def _minor_expansion(fs: Sequence[Polynomial], coeffs: _Coeffs,
-                     ctx: VarContext) -> Polynomial:
-    """Sum of det(df_a/dx_{I_b}) * c_I over the cleared coefficients.
-
-    Each argument is cleared once to integer numerators over its
-    denominator d_a, and its partials are taken on those, only in the
-    variables it uses, and packed with room for the sum of the degrees
-    of the arguments and of the c_I, which bounds every product.  The
-    field of fs[1:] is formed only in the variables fs[0] uses, and each
-    term of the result is divided by E * prod(d_a) once.
-    """
-    args = [_cleared(f.terms) for f in fs]
-    packing = _packing(ctx.nvars, coeffs.degree + sum(_degree(items) for _, items in args))
-    rows = [packing.tuple_partials(items) for _, items in args]
-    acc = _apply_terms(_field_terms(coeffs, rows[1:], packing, rows[0]), rows[0])
-    return _from_ints(ctx, packing.unpack(acc.items()),
-                      coeffs.E * prod(d for d, _ in args))
+def _int_bracket(args: Sequence[_PackedValue], coeffs: _Coeffs,
+                 packing: _Packing) -> _PackedValue:
+    """The bracket of packed values: the field of args[1:], formed only in
+    the variables args[0] uses, applied to args[0]."""
+    d, items = args[0]
+    tail = args[1:]
+    packing.check(packing.degree(items) + coeffs.degree
+                  + sum(packing.degree(t) for _, t in tail))
+    row = packing.partials(items)
+    K = _field_terms(coeffs, [packing.partials(t) for _, t in tail], packing, row)
+    acc = _apply_terms(K, row)
+    return (coeffs.E * d * prod(dt for dt, _ in tail),
+            [(m, v) for m, v in acc.items() if v])
 
 
-def _check_args(bracket, fs: Sequence[Polynomial]) -> None:
+def _evaluate(bracket, fs: Sequence[Polynomial]) -> Polynomial:
+    """The bracket of fs by `_int_bracket`, on one packing with room for
+    the sum of the degrees of the arguments and of the c_I, which bounds
+    every product."""
     if len(fs) != bracket.arity:
         raise ArityMismatch(f"bracket takes {bracket.arity} arguments, got {len(fs)}")
-    ctx = bracket.ctx
+    ctx, coeffs = bracket.ctx, bracket._coeffs
     for f in fs:
         if f.ctx is not ctx and f.ctx != ctx:
             raise ValueError("bracket argument from the wrong context")
+    packing = _packing(ctx.nvars, coeffs.degree + sum(max(f.total_degree(), 0) for f in fs))
+    return _polynomial(ctx, packing,
+                       _int_bracket([_pack(packing, f.terms) for f in fs], coeffs, packing))
 
 
 @dataclass(frozen=True)
@@ -400,8 +301,7 @@ class JacobianBracket:
         return self.ctx.nvars - 1
 
     def __call__(self, *fs: Polynomial) -> Polynomial:
-        _check_args(self, fs)
-        return _minor_expansion(fs, self._coeffs, self.ctx)
+        return _evaluate(self, fs)
 
 
 @dataclass(frozen=True)
@@ -429,8 +329,7 @@ class TableBracket:
         return self.table.arity
 
     def __call__(self, *fs: Polynomial) -> Polynomial:
-        _check_args(self, fs)
-        return _minor_expansion(fs, self._coeffs, self.ctx)
+        return _evaluate(self, fs)
 
 
 def ternary_jacobian(bracket, a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
@@ -568,21 +467,6 @@ def _apply_field(field: _Field, value: _PackedValue, packing: _Packing) -> _Pack
     return denom * d, [(m, v) for m, v in acc.items() if v]
 
 
-def _int_bracket(args: Sequence[_PackedValue], coeffs: _Coeffs,
-                 packing: _Packing) -> _PackedValue:
-    """The bracket of packed values: the field of args[1:], formed only in
-    the variables args[0] uses, applied to args[0]."""
-    d, items = args[0]
-    tail = args[1:]
-    packing.check(packing.degree(items) + coeffs.degree
-                  + sum(packing.degree(t) for _, t in tail))
-    row = packing.partials(items)
-    K = _field_terms(coeffs, [packing.partials(t) for _, t in tail], packing, row)
-    acc = _apply_terms(K, row)
-    return (coeffs.E * d * prod(dt for dt, _ in tail),
-            [(m, v) for m, v in acc.items() if v])
-
-
 def _check_packing(bracket, inputs: Sequence[Polynomial]) -> Tuple[_Packing, List[_PackedValue]]:
     """The packing of one check and its inputs on it.
 
@@ -591,15 +475,9 @@ def _check_packing(bracket, inputs: Sequence[Polynomial]) -> Tuple[_Packing, Lis
     (Malcev), each adding the degree of the c_I, over inputs that enter
     at most twice.  The packing checks the bound as it goes.
     """
-    values = [_cleared(p.terms) for p in inputs]
-    packing = _packing(bracket.ctx.nvars, 2 * sum(_degree(items) for _, items in values)
+    packing = _packing(bracket.ctx.nvars, 2 * sum(max(p.total_degree(), 0) for p in inputs)
                        + 3 * bracket._coeffs.degree)
-    return packing, [(d, packing.pack(items)) for d, items in values]
-
-
-def _defect(ctx: VarContext, packing: _Packing, value: _PackedValue) -> Polynomial:
-    d, items = value
-    return _from_ints(ctx, packing.unpack(items), d)
+    return packing, [_pack(packing, p.terms) for p in inputs]
 
 
 def _int_sum(terms: Sequence[Tuple[int, Sequence[_PackedValue]]],
@@ -622,7 +500,7 @@ def _int_sum(terms: Sequence[Tuple[int, Sequence[_PackedValue]]],
         if len(factors) == 2:
             second = factors[1][1]
             packing.check(packing.degree(first) + packing.degree(second))
-            _packed_mul(first, second, out)
+            _int_mul(first, second, out)
         else:
             for m, v in first:
                 out[m] = get(m, 0) + v
@@ -641,7 +519,7 @@ def verify_skew(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
             for dup in base:
                 args = [gens[i] for i in base] + [gens[dup]]
                 packing, values = _check_packing(bracket, args)
-                yield (_defect(ctx, packing, _int_bracket(values, coeffs, packing)),
+                yield (_polynomial(ctx, packing, _int_bracket(values, coeffs, packing)),
                        args, "duplicate generator")
 
     def draw(rng):
@@ -655,11 +533,11 @@ def verify_skew(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
         swapped[a], swapped[b] = swapped[b], swapped[a]
         total = _int_sum([(1, (_int_bracket(values, coeffs, packing),)),
                           (1, (_int_bracket(swapped, coeffs, packing),))], packing)
-        yield _defect(ctx, packing, total), fs, f"swap {a},{b}"
+        yield _polynomial(ctx, packing, total), fs, f"swap {a},{b}"
         dup = list(fs)
         dup[b] = dup[a]
         values[b] = values[a]
-        yield (_defect(ctx, packing, _int_bracket(values, coeffs, packing)),
+        yield (_polynomial(ctx, packing, _int_bracket(values, coeffs, packing)),
                dup, "duplicate slot")
 
     return _run_checks("skew", n, generated(), draw, trials, seed)
@@ -685,7 +563,7 @@ def verify_leibniz(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
         total = _int_sum([(1, (at_slot(_int_sum([(1, (ig, ih))], packing)),)),
                           (-1, (ig, at_slot(ih))),
                           (-1, (at_slot(ig), ih))], packing)
-        yield _defect(ctx, packing, total), [g, h] + fs, f"slot {slot}"
+        yield _polynomial(ctx, packing, total), [g, h] + fs, f"slot {slot}"
 
     return _run_checks("leibniz", n, (), draw, trials, seed)
 
@@ -705,7 +583,7 @@ def _two_block_checks(identity: str, bracket, defect, nu: int, nv: int,
         inputs = list(us) + list(vs)
         packing, values = _check_packing(bracket, inputs)
         value = defect(bracket, packing, values[:nu], values[nu:])
-        return _defect(ctx, packing, value), inputs, note
+        return _polynomial(ctx, packing, value), inputs, note
 
     def generated():
         for ui in itertools.combinations(range(ctx.nvars), nu):
@@ -822,7 +700,7 @@ def verify_malcev(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
 
         total = _int_sum([(1, (br(jacobiator(a, b, c), a),)),
                           (-1, (jacobiator(a, b, br(a, c)),))], packing)
-        return _defect(ctx, packing, total), abc, note
+        return _polynomial(ctx, packing, total), abc, note
 
     generated = (check(abc, "generator triple")
                  for abc in itertools.product(ctx.gens(), repeat=3))

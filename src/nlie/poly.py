@@ -10,29 +10,34 @@ non-negative ints, and every monomial tuple has exactly one entry per
 context variable.  Two polynomials are equal iff their contexts and term
 maps are equal.
 
-Products (and so powers and substitution) run on cleared denominators:
-each operand is written once as integer numerators over the lcm d of
-its denominators, the term pairs sum as plain ints in `_int_mul`, and
-each surviving sum is divided by d_a * d_b once at the end.  No Fraction
-is built or normalised inside the pair loop.  A power clears its base
-once and squares the numerators in `_int_pow`, so its intermediate
-squares are never Polynomials either.  The root check in nlie.analysis
-calls the same `_int_pow`.  The bracket kernel and the determinants in
-nlie.brackets run this pair loop on cleared numerators whose monomials
-they pack into ints (`brackets._packed_mul`).
+This module also holds the package's one packed integer layer.  A
+product, a power, the root check in nlie.analysis and the brackets and
+determinants in nlie.brackets all cross it the same way: `_pack` clears
+each operand once to integer numerators over the lcm d of its
+denominators, on monomials packed into ints by a `_Packing` wide enough
+for every degree the work can reach; `_int_mul`, the one pair loop, sums
+plain ints with one int addition per monomial product (`_int_pow`
+squares on it); and `_polynomial` unpacks the nonzero sums, building one
+Fraction per term over the product of the d's.  No Fraction is built
+and no exponent tuple is formed inside the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from operator import add, neg
+from operator import mul, neg
 from typing import (Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 Monomial = Tuple[int, ...]
 Scalar = Union[int, Fraction]
+# Integer numerators on packed monomials (`_Packing`), and a packed value
+# (d, items): the polynomial sum(v/d * x^m) over its items, d positive.
+_PackedPoly = List[Tuple[int, int]]
+_PackedValue = Tuple[int, _PackedPoly]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -156,7 +161,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), _ZERO)
@@ -199,10 +204,8 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         """Product with a polynomial or a scalar.
 
-        For two polynomials, each operand is cleared to integer
-        numerators over its least common denominator d; the integer
-        products are summed per monomial, and the nonzero sums become
-        Fraction(sum, d_a * d_b), so the result is canonical.
+        Two polynomials are packed once, with room for the sum of their
+        degrees, and multiplied by `_int_mul`.
         """
         if not isinstance(other, Polynomial):
             q = Fraction(other)
@@ -213,21 +216,24 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        da, ia = _cleared(a)
-        db, ib = _cleared(b)
-        return _from_ints(self.ctx, _int_mul(ia, ib, {}).items(), da * db)
+        packing = _packing(self.ctx.nvars, max(self.total_degree(), 0)
+                           + max(other.total_degree(), 0))
+        da, ia = _pack(packing, a)
+        db, ib = _pack(packing, b)
+        return _polynomial(self.ctx, packing, (da * db, _int_mul(ia, ib, {}).items()))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
-        """k-th power: the cleared numerators are raised by `_int_pow`,
-        then each term is divided by d^k once."""
+        """k-th power: the base is packed once, with room for k times its
+        degree, and raised by `_int_pow`."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         if k == 0:
             return self.ctx.one()
-        d, items = _cleared(self.terms)
-        return _from_ints(self.ctx, _int_pow(items, k).items(), d ** k)
+        packing = _packing(self.ctx.nvars, k * max(self.total_degree(), 0))
+        d, items = _pack(packing, self.terms)
+        return _polynomial(self.ctx, packing, (d ** k, _int_pow(items, k).items()))
 
     def __truediv__(self, scalar: Scalar) -> "Polynomial":
         q = Fraction(scalar)
@@ -355,9 +361,13 @@ class Polynomial:
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant hashes as its value, which it equals
         h = self._hash
         if h is None:
-            h = hash((self.ctx, frozenset(self.terms.items())))
+            if self.is_constant():
+                h = hash(self.terms.get((0,) * self.ctx.nvars, _ZERO))
+            else:
+                h = hash((self.ctx, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -382,49 +392,126 @@ def _cleared(terms: Mapping[Monomial, Fraction],
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
 
 
-def _from_ints(ctx: VarContext, items: Iterable[Tuple[Monomial, int]],
-               d: int) -> Polynomial:
-    # The polynomial with terms v/d for the nonzero v of the (mono, v)
-    # pairs in items, whose monomials are distinct.
+class _Packing:
+    """Monomials in nvars variables packed into ints, for degrees < 2^w.
+
+    Exponent e_j sits in bits [w*j, w*(j+1)) and the total degree above
+    them, from bit w*nvars on, so x_j packs as `units[j]`, 2^(w*j) +
+    2^(w*nvars).  While every total degree is below 2^w no exponent
+    carries into the next field, so the product of two monomials is one
+    int addition, a partial in x_j subtracts units[j], and the largest
+    int of a term list holds its degree.  `check` raises before a
+    product could leave that range.
+    """
+
+    __slots__ = ("w", "nvars", "units", "shift", "limit")
+
+    def __init__(self, nvars: int, w: int) -> None:
+        self.w = w
+        self.nvars = nvars
+        self.shift = w * nvars
+        self.units = tuple((1 << (w * j)) + (1 << self.shift) for j in range(nvars))
+        self.limit = 1 << w
+
+    def check(self, degree: int) -> None:
+        if degree >= self.limit:
+            raise OverflowError(f"degree {degree} exceeds the packing bound {self.limit}")
+
+    def pack(self, items: Iterable[Tuple[Monomial, int]]) -> _PackedPoly:
+        units = self.units
+        return [(sum(map(mul, m, units)), c) for m, c in items]
+
+    def unpack(self, items: Iterable[Tuple[int, Scalar]]) -> List[Tuple[Monomial, Scalar]]:
+        # the nonzero terms, monomials back as tuples
+        mask = self.limit - 1
+        shifts = range(0, self.shift, self.w)
+        return [(tuple([(m >> s) & mask for s in shifts]), v) for m, v in items if v]
+
+    def degree(self, items: _PackedPoly) -> int:
+        # the monomials of items are distinct, so max never compares values
+        return max(items, default=(0, 0))[0] >> self.shift
+
+    def partials(self, items: _PackedPoly) -> Dict[int, _PackedPoly]:
+        """The nonzero partials of a packed polynomial, keyed by variable.
+
+        Only the variables it uses get an entry.  Distinct monomials have
+        distinct partials in one variable, so no sum can cancel.
+        """
+        grads: Dict[int, _PackedPoly] = {}
+        w, mask = self.w, self.limit - 1
+        for m, c in items:
+            shift = 0
+            for j, unit in enumerate(self.units):
+                e = (m >> shift) & mask
+                if e:
+                    grads.setdefault(j, []).append((m - unit, c * e))
+                shift += w
+        return grads
+
+
+@lru_cache(maxsize=1024)
+def _packing(nvars: int, degree: int) -> _Packing:
+    """The packing of nvars variables that holds every total degree <= degree.
+
+    A _Packing is never changed after construction, so calls share one.
+    """
+    return _Packing(nvars, max(degree, 1).bit_length())
+
+
+def _pack(packing: _Packing, terms: Mapping[Monomial, Fraction],
+          d: Optional[int] = None) -> _PackedValue:
+    """terms as integer numerators over d on packed monomials; d is the
+    lcm of their denominators unless a common multiple is given."""
+    d, items = _cleared(terms, d)
+    return d, packing.pack(items)
+
+
+def _polynomial(ctx: VarContext, packing: _Packing, value: _PackedValue) -> Polynomial:
+    """The polynomial sum(v/d * x^m) of a packed value (d, items); the
+    monomials of items are distinct and the zero v are dropped."""
+    d, items = value
     if d == 1:
-        return _raw(ctx, {m: Fraction(v) for m, v in items if v})
-    return _raw(ctx, {m: Fraction(v, d) for m, v in items if v})
+        return _raw(ctx, {m: Fraction(v) for m, v in packing.unpack(items)})
+    return _raw(ctx, {m: Fraction(v, d) for m, v in packing.unpack(items)})
 
 
-def _int_mul(a: Iterable[Tuple[Monomial, int]], b: Collection[Tuple[Monomial, int]],
-             out: Dict[Monomial, int]) -> Dict[Monomial, int]:
-    """Add the product of two integer term lists into out and return it.
+def _int_mul(a: Iterable[Tuple[int, int]], b: Collection[Tuple[int, int]],
+             out: Dict[int, int]) -> Dict[int, int]:
+    """Add the product of two packed integer term lists into out and return it.
 
-    The one integer pair loop behind every product; b is walked once per
-    term of a.  Sums that cancel stay in out as 0; the caller drops them.
+    The one integer pair loop, behind every product, power, root check,
+    bracket and determinant; b is walked once per term of a, and a
+    product of monomials is one int addition.  Sums that cancel stay in
+    out as 0; the caller drops them.
     """
     get = out.get
     for ma, ca in a:
         for mb, cb in b:
-            mono = tuple(map(add, ma, mb))
+            mono = ma + mb
             out[mono] = get(mono, 0) + ca * cb
     return out
 
 
-def _int_square(items: List[Tuple[Monomial, int]]) -> List[Tuple[Monomial, int]]:
+def _int_square(items: _PackedPoly) -> _PackedPoly:
     # The square step of _int_pow, zero sums dropped: each unordered pair
     # of terms is multiplied once, by `_int_mul`, with its weight 2.
-    out: Dict[Monomial, int] = {}
+    out: Dict[int, int] = {}
     for i, (mono, c) in enumerate(items):
-        sq = tuple(map(add, mono, mono))
+        sq = mono + mono
         out[sq] = out.get(sq, 0) + c * c
         _int_mul(((mono, 2 * c),), items[i + 1:], out)
     return [t for t in out.items() if t[1]]
 
 
-def _int_pow(items: List[Tuple[Monomial, int]], k: int) -> Dict[Monomial, int]:
-    """The k-th power (k >= 1) of an integer term list, zero sums dropped.
+def _int_pow(items: _PackedPoly, k: int) -> Dict[int, int]:
+    """The k-th power (k >= 1) of a packed integer term list, zero sums
+    dropped; its packing must hold k times the degree of items.
 
     The one power routine, behind Polynomial.__pow__ and the root check:
     repeated squaring, each square over unordered term pairs and each
     other product by `_int_mul`.
     """
-    result: Optional[List[Tuple[Monomial, int]]] = None
+    result: Optional[_PackedPoly] = None
     while True:
         if k & 1:
             result = items if result is None else [

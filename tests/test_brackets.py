@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlie.brackets import (VERIFIERS, ArityMismatch, JacobianBracket, TableBracket,
-                           _apply_field, _int_field, _packing, ternary_jacobian,
+                           _apply_field, _int_field, ternary_jacobian,
                            jacobian, poly_det, random_homogeneous,
                            random_polynomial, verify_filippov, verify_leibniz,
                            verify_malcev, verify_skew, verify_strong)
 from nlie.parser import parse_polynomial
-from nlie.poly import Polynomial, VarContext, _cleared, context
+from nlie.poly import Polynomial, VarContext, _cleared, _packing, context
 from nlie.structures import (StructureTable, make_elliptic, make_malcev_splittable,
                              make_nlie, make_quadric, make_sl2)
 

@@ -248,6 +248,26 @@ def test_center_huge_degree_exits_3(capsys):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("args", [
+    ("algebra", "show", "quadric", "--arity", "17"),
+    ("bracket", "--algebra", "nlie", "--alphas", ",".join(["1"] * 18), "x1"),
+    ("verify", "--casimir", "+".join(f"x{i}^2" for i in range(18)),
+     "--identity", "skew"),
+], ids=["arity", "alphas", "casimir"])
+def test_runaway_arity_exits_3(capsys, args):
+    # arity 17 is refused before any algebra or bracket is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *args)
+    assert code == 3 and out == ""
+    assert "arity 17 (limit 16)" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_arity_at_the_limit_runs(capsys):
+    code, doc = run_json(capsys, "algebra", "show", "quadric", "--arity", "16")
+    assert code == 0 and doc["data"]["arity"] == 16
+
+
 def test_center_commands(capsys):
     code, doc = run_json(capsys, "center", "--algebra", "sl2", "--degree", "2")
     assert code == 0 and doc["data"]["dimension"] == 2

@@ -185,13 +185,21 @@ def test_equality_with_scalars():
     assert XY.constant(3) == 3
     assert XY.zero() == 0
     assert X != 1
+    # equal objects hash alike, so a constant and its value are one key
+    assert len({XY.constant(5), 5}) == 1 and len({XY.zero(), 0}) == 1
+    assert {5: "a"}.get(XY.constant(5)) == "a"
+    assert {Fraction(1, 2): "b"}.get(XY.constant(Fraction(1, 2))) == "b"
 
 
 # -- the product kernel against sympy --------------------------------------
 #
-# `__mul__` clears each operand's denominators to one common d, sums
-# integer products and divides by d_a * d_b once per surviving term; these
-# properties check the values, the canonical form and the clearing step.
+# `__mul__` and `__pow__` pack each operand once (integer numerators over
+# its least common denominator d, monomials as ints in bit fields sized by
+# the degrees), sum integer products in `poly._int_mul` and divide by
+# d_a * d_b once per surviving term; these properties check the values,
+# the canonical form and the clearing step.  Exponents up to 40 give
+# multi-bit fields and degrees just under a power of two, and the zero
+# polynomial (total degree -1) is among the draws.
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -202,7 +210,7 @@ _fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool),
 @st.composite
 def fraction_polys(draw, ctx):
     """Sparse polynomials (zero included) with mixed denominators."""
-    monos = st.tuples(*[st.integers(0, 2)] * ctx.nvars)
+    monos = st.tuples(*[st.integers(0, 2) | st.integers(0, 40)] * ctx.nvars)
     return Polynomial(ctx, draw(st.dictionaries(monos, _fractions, max_size=5)))
 
 
