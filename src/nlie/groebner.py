@@ -5,16 +5,23 @@ the same reduced basis comes back in the same sequence.  Long
 computations are metered by an explicit reduction-step budget and fail
 loudly with BudgetExhausted, never silently.
 
-An order's sort key is fixed when the order is built; GREVLEX.key is
-poly.grevlex_key, the key `str()` prints terms by.  A polynomial keeps
-the leading monomial of the last order that asked for it, so a divisor
-used on every division has its leading monomial found once.
+An order has two definitions of itself, both fixed by its kind and perm:
+a sort key on exponent tuples (GREVLEX.key is poly.grevlex_key, the key
+`str()` prints terms by) and a packing of monomials into ints whose int
+order is the order (`MonomialOrder.packing`, after Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  In a packed monomial a product is one addition
+and a divisibility test one subtraction.
 
-Division runs on integers, like the product kernel in poly: each divisor
-is cleared once per call to integer numerators over its denominator, the
-work terms are integer numerators over one common denominator, and a
-Fraction is built once per quotient and remainder term.  Each work
-monomial's key is computed once, when the monomial enters the work.
+Division and S-polynomials run on that packing, like the product kernel
+in poly runs on its own: a polynomial is cleared once to integer
+numerators over its denominator and packed once per order and width,
+and the record is cached on it (`_record`), so a basis element used in
+every division is packed once.  The work terms are integer numerators
+over one common denominator, keyed by their packed monomials, and a
+Fraction is built once per quotient and remainder term, at the end.  A
+polynomial also keeps the leading monomial of the last order that
+asked, for the pair bookkeeping of Buchberger's algorithm.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import add, le, sub
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import add, le, mul, sub
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .poly import Monomial, Polynomial, _cleared, _raw, grevlex_key
+from .poly import Monomial, Polynomial, _pack, _polynomial, _raw, grevlex_key
 
 DEFAULT_BUDGET = 100_000
 
@@ -74,6 +81,56 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
+class _OrderPacking:
+    """Monomials in nvars variables packed into ints whose int order is a
+    monomial order, for exponents and total degrees below 2^w.
+
+    Every field is w+1 bits wide.  The low nvars fields hold the
+    exponents in perm order, the most significant variable highest, each
+    under a guard bit that is 0 while the exponent is below 2^w; for lex
+    that is the whole int.  Grevlex puts above them deg - e_j for every
+    variable but the most significant, the least significant highest,
+    and the total degree on top, so that among equal degrees the smaller
+    last exponent gives the larger int.  Every field is linear in the
+    exponents, so x_j packs as units[j] and a product of monomials is one
+    int addition while no field overflows; lead divides mono iff
+    (mono - lead) & guards == 0, since the lowest exponent field that
+    borrows sets its guard.
+    """
+
+    __slots__ = ("order", "w", "units", "shifts", "mask", "ones", "guards")
+
+    def __init__(self, order: "MonomialOrder", nvars: int, w: int) -> None:
+        width = w + 1
+        perm = range(nvars) if order.perm is None else order.perm
+        rank = {j: nvars - 1 - i for i, j in enumerate(perm)}
+        self.shifts = tuple(width * rank[j] for j in range(nvars))
+        units = [1 << s for s in self.shifts]
+        if order.kind == "grevlex":
+            for j in range(nvars):
+                units[j] += 1 << width * (2 * nvars - 1)
+                units[j] += sum(1 << width * (nvars - 1 + i)
+                                for i in range(1, nvars) if perm[i] != j)
+        self.order = order
+        self.w = w
+        self.units = tuple(units)
+        self.mask = (1 << w) - 1
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guards = self.ones << w
+
+    def monomial(self, mono: Monomial) -> int:
+        return sum(map(mul, mono, self.units))
+
+    def pack(self, items):
+        units = self.units
+        return [(sum(map(mul, m, units)), c) for m, c in items]
+
+    def unpack(self, items):
+        # the nonzero terms, monomials back as tuples
+        mask, shifts = self.mask, self.shifts
+        return [(tuple([(m >> s) & mask for s in shifts]), v) for m, v in items if v]
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order: 'grevlex' (default) or 'lex'.
@@ -81,12 +138,15 @@ class MonomialOrder:
     `perm` optionally permutes variable significance: perm[0] is the most
     significant variable index.  None means context order; otherwise it
     must be a permutation of range(nvars) for the polynomials ordered.
-    `key(mono)`, larger for larger monomials, is chosen at construction.
+    `key(mono)`, larger for larger monomials, is chosen at construction;
+    `packing(nvars, w)` packs monomials into ints in the same order.
     """
 
     kind: str = "grevlex"
     perm: Optional[Tuple[int, ...]] = None
     key: Callable[[Monomial], tuple] = field(init=False, repr=False, compare=False)
+    _packings: Dict[Tuple[int, int], _OrderPacking] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("grevlex", "lex"):
@@ -100,6 +160,14 @@ class MonomialOrder:
             unpermuted = key
             key = lambda m: unpermuted(tuple(m[i] for i in perm))
         object.__setattr__(self, "key", key)
+
+    def packing(self, nvars: int, w: int) -> _OrderPacking:
+        """This order's packing of nvars variables for exponents and
+        degrees below 2^w; one object per (nvars, w)."""
+        got = self._packings.get((nvars, w))
+        if got is None:
+            got = self._packings[nvars, w] = _OrderPacking(self, nvars, w)
+        return got
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
         if p.is_zero():
@@ -132,6 +200,55 @@ GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
+# -- packed records -----------------------------------------------------
+#
+# A record (packing, d, lead, L, tail, reach) is a nonzero polynomial
+# (L * x^lead + sum(c * x^m for m, c in tail)) / d on the monomials of
+# one packing, lead its leading monomial in the packing's order, d > 0,
+# and reach an upper bound on its exponents in every exponent field.  A
+# polynomial keeps the record of the last packing that asked (`_packed`).
+
+def _store(p: Polynomial, packing: _OrderPacking, d: int, items: List[Tuple[int, int]],
+           degree: int) -> tuple:
+    # items is consumed: the lead is taken out of it and the rest kept
+    lead, L = max(items)
+    items.remove((lead, L))
+    rec = (packing, d, lead, L, items, degree * packing.ones)
+    object.__setattr__(p, "_packed", rec)
+    return rec
+
+
+def _record(p: Polynomial, packing: _OrderPacking) -> tuple:
+    """The record of nonzero p at packing, cleared and packed only when p
+    has no record at that packing yet."""
+    rec = p._packed
+    if rec is None or rec[0] is not packing:
+        d, items = _pack(packing, p.terms)
+        rec = _store(p, packing, d, items, p.total_degree())
+    return rec
+
+
+def _packing_for(order: MonomialOrder, polys: Sequence[Polynomial],
+                 degree: int) -> _OrderPacking:
+    """The packing of order for a call on polys whose exponents and
+    degrees stay at most degree: the narrowest that holds degree, or the
+    widest that one of polys already has a record at, so that widths only
+    grow and a basis used in every call is packed once per width."""
+    w = max(degree, 1).bit_length()
+    for p in polys:
+        rec = p._packed
+        if rec is not None and rec[0].order is order and rec[0].w > w:
+            w = rec[0].w
+    return order.packing(polys[0].ctx.nvars, w)
+
+
+def _fractions(ctx, packing: _OrderPacking, items) -> Polynomial:
+    # the polynomial of (packed monomial, (numerator, denominator)) items
+    if not items:
+        return _raw(ctx, {})
+    return _raw(ctx, {m: Fraction(*v) for m, v in packing.unpack(items)})
+
+
 # -- division -----------------------------------------------------------
 
 def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -141,14 +258,23 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     Returns (quotients, remainder) with f == sum(q_i * g_i) + r and no
     remainder monomial divisible by any divisor's leading monomial.
 
-    The reduction runs on integers: each divisor is cleared once to
-    integer numerators (lead L, tail) over its denominator d, and the
-    work terms are integer numerators over one common denominator D.
+    The reduction runs on the order's packing: each divisor's record
+    (lead L, tail, over its denominator d) is cached on it, and the work
+    is integer numerators over one common denominator D in a dict keyed
+    by packed monomials, so the next term is max(work), a divisibility
+    test is one subtraction and a shifted tail monomial one addition.
     Eliminating a term a/D scales the work and D by L/gcd(a, L), when
-    that is not 1, and subtracts (a/gcd(a, L)) * shift * tail.  Each
-    monomial's order key is computed once, when it enters the work, and
-    dropped when it leaves.  Fractions are built once per quotient and
-    remainder term.
+    that is not 1, and subtracts (a/gcd(a, L)) * shift * tail.
+    Quotient and remainder terms are unpacked, with one Fraction each,
+    at the end.
+
+    The packing holds every degree of f and of the divisors.  Under
+    grevlex no work term has a larger degree than the term it replaces,
+    so that is enough; under lex, x^k divided by x - y^5 reaches y^(5k).
+    So each elimination first checks, in the guard bits, that no shifted
+    tail exponent reaches the packing's bound; if one would, the
+    division is run again at twice the width, with the steps of the
+    abandoned run given back to the budget.
 
     Args:
         f: dividend.
@@ -168,53 +294,67 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     lms = [order.leading_monomial(g) for g in divisors]
     if not any(mono_divides(lm, m) for m in f.terms for lm in lms):
         return [_raw(ctx, {}) for _ in divisors], f
-    # (L, d, tail) per divisor, cleared when it is first used
-    cleared: List[Optional[tuple]] = [None] * len(divisors)
-    quotients: List[dict] = [{} for _ in divisors]
-    remainder: dict = {}
-    D, items = _cleared(f.terms)
-    work = dict(items)
-    key = order.key
-    keys = {m: key(m) for m in work}
+    polys = [f, *divisors]
+    packing = _packing_for(order, polys, max(p.total_degree() for p in polys))
+    used = 0 if budget is None else budget.used
+    while True:
+        done = _divide(f, divisors, packing, budget)
+        if done is not None:
+            return done
+        if budget is not None:
+            budget.used = used
+        packing = order.packing(ctx.nvars, 2 * packing.w)
+
+
+def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPacking,
+            budget: Optional[StepBudget]) -> Optional[Tuple[List[Polynomial], Polynomial]]:
+    # divide() at one packing; None as soon as an exponent would reach 2^w
+    recs = [_record(g, packing) for g in divisors]
+    leads = [rec[2] for rec in recs]
+    rec = f._packed
+    if rec is not None and rec[0] is packing:
+        _, D, lead, L, tail, _ = rec
+        work = dict(tail)
+        work[lead] = L
+    else:
+        D, items = _pack(packing, f.terms)
+        work = dict(items)
+    guards = packing.guards
+    quotients: List[list] = [[] for _ in divisors]
+    remainder: list = []
     while work:
-        mono = max(work, key=keys.__getitem__)
-        del keys[mono]
+        mono = max(work)
         a = work.pop(mono)
-        for i, lm in enumerate(lms):
-            if mono_divides(lm, mono):
-                if budget is not None:
-                    budget.spend()
-                if cleared[i] is None:
-                    terms = divisors[i].terms
-                    d, ints = _cleared(terms)
-                    cleared[i] = (int(terms[lm] * d), d,
-                                  [(m, c) for m, c in ints if m != lm])
-                L, d, tail = cleared[i]
-                shift = mono_div(mono, lm)
-                quotients[i][shift] = Fraction(a * d, D * L)
-                g = gcd(a, L)
-                scale = L // g
-                if scale != 1:
-                    D *= scale
-                    for m in work:
-                        work[m] *= scale
-                a //= g
-                for m, c in tail:
-                    tm = tuple(map(add, shift, m))
-                    v = work.get(tm)
-                    if v is None:
-                        work[tm] = -a * c
-                        keys[tm] = key(tm)
-                    else:
-                        v -= a * c
-                        if v:
-                            work[tm] = v
-                        else:
-                            del work[tm], keys[tm]
-                break
+        for i, lead in enumerate(leads):
+            shift = mono - lead
+            if shift & guards:
+                continue
+            _, d, _, L, tail, reach = recs[i]
+            if (shift + reach) & guards:
+                return None
+            if budget is not None:
+                budget.spend()
+            quotients[i].append((shift, (a * d, D * L)))
+            g = gcd(a, L)
+            scale = L // g
+            if scale != 1:
+                D *= scale
+                for m in work:
+                    work[m] *= scale
+            a //= g
+            get = work.get
+            for m, c in tail:
+                m += shift
+                v = get(m, 0) - a * c
+                if v:
+                    work[m] = v
+                else:
+                    del work[m]
+            break
         else:
-            remainder[mono] = Fraction(a, D) if D != 1 else Fraction(a)
-    return [_raw(ctx, q) for q in quotients], _raw(ctx, remainder)
+            remainder.append((mono, (a, D)))
+    ctx = f.ctx
+    return [_fractions(ctx, packing, q) for q in quotients], _fractions(ctx, packing, remainder)
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -224,13 +364,40 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
 
 
 def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """S-polynomial of f and g."""
-    mf, cf = order.leading_term(f)
-    mg, cg = order.leading_term(g)
+    """S-polynomial of f and g: u*f/lc(f) - v*g/lc(g), where u*lm(f) and
+    v*lm(g) are the lcm of the leading monomials.
+
+    The leading terms cancel, so only the tails are combined.  On the
+    packed records f = (L_f * x^lm(f) + tail_f) / d_f and g alike, with
+    h = gcd(L_f, L_g), the numerators are (L_g/h) * u * tail_f -
+    (L_f/h) * v * tail_g over L_f * L_g / h: one integer multiplier per
+    tail and one addition per shifted monomial.  The result keeps them as
+    its record, so dividing it next packs nothing again.
+    """
+    f._check_ctx(g)
+    mf, mg = order.leading_monomial(f), order.leading_monomial(g)
     l = mono_lcm(mf, mg)
-    uf = _raw(f.ctx, {mono_div(l, mf): 1 / cf})
-    ug = _raw(g.ctx, {mono_div(l, mg): 1 / cg})
-    return uf * f - ug * g
+    u, v = mono_div(l, mf), mono_div(l, mg)
+    degree = max(sum(u) + f.total_degree(), sum(v) + g.total_degree())
+    packing = _packing_for(order, (f, g), degree)
+    _, _, _, Lf, tail_f, _ = _record(f, packing)
+    _, _, _, Lg, tail_g, _ = _record(g, packing)
+    h = gcd(Lf, Lg)
+    af, ag = Lg // h, Lf // h
+    den = Lf * af
+    if den < 0:
+        af, ag, den = -af, -ag, -den
+    u, v = packing.monomial(u), packing.monomial(v)
+    work = {m + u: af * c for m, c in tail_f}
+    get = work.get
+    for m, c in tail_g:
+        m += v
+        work[m] = get(m, 0) - ag * c
+    items = [t for t in work.items() if t[1]]
+    s = _polynomial(f.ctx, packing, (den, items))
+    if items:
+        _store(s, packing, den, items, degree)
+    return s
 
 
 # -- Buchberger ---------------------------------------------------------

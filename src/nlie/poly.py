@@ -123,12 +123,13 @@ class Polynomial:
     `terms` maps exponent tuples to nonzero Fractions.  Instances are
     hashable and safe to use as dict keys or set members.
 
-    `_hash` caches the hash and `_lead` the (order, leading monomial)
-    pair of the last MonomialOrder that asked; equality and hashing
-    ignore both.
+    `_hash` caches the hash, `_degree` the total degree, `_lead` the
+    (order, leading monomial) pair of the last MonomialOrder that asked,
+    and `_packed` the packed division record of nlie.groebner for the
+    last order packing that asked; equality and hashing ignore them all.
     """
 
-    __slots__ = ("ctx", "terms", "_hash", "_lead")
+    __slots__ = ("ctx", "terms", "_hash", "_degree", "_lead", "_packed")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Scalar]):
         clean: Dict[Monomial, Fraction] = {}
@@ -144,7 +145,9 @@ class Polynomial:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_degree", None)
         object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
@@ -158,10 +161,12 @@ class Polynomial:
         return all(sum(m) == 0 for m in self.terms)
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(map(sum, self.terms))
+        """Total degree; -1 for the zero polynomial.  Found once, then cached."""
+        d = self._degree
+        if d is None:
+            d = max(map(sum, self.terms), default=-1)
+            object.__setattr__(self, "_degree", d)
+        return d
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), _ZERO)
@@ -528,7 +533,9 @@ def _raw(ctx: VarContext, terms: Dict[Monomial, Fraction]) -> Polynomial:
     object.__setattr__(p, "ctx", ctx)
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_degree", None)
     object.__setattr__(p, "_lead", None)
+    object.__setattr__(p, "_packed", None)
     return p
 
 

@@ -266,23 +266,43 @@ NF_PROPERTY = settings(max_examples=60, deadline=None)
 _XYZ_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
                              st.integers(-5, 5).filter(bool),
                              min_size=1, max_size=3)
+# Exponents to 40 give degrees past several packing widths.  sympy's
+# reduction of such a dividend under lex can take minutes, so an order
+# under which our division needs more than ORACLE_STEPS steps is not
+# compared with sympy; the draws with small exponents need at most
+# about 50.
+ORACLE_STEPS = 500
+_XYZ_HIGH_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2) | st.integers(0, 40)] * 3),
+                                  st.integers(-5, 5).filter(bool),
+                                  min_size=1, max_size=3)
+
+
+def orders(perm):
+    """(order, sympy order name, sympy gens) for every kind of order.
+    sympy ranks gens[0] first, so its gens are the variables in perm order."""
+    permuted = " ".join(XYZ.names[i] for i in perm)
+    return [(GREVLEX, "grevlex", "x y z"), (LEX, "lex", "x y z"),
+            (MonomialOrder("grevlex", perm), "grevlex", permuted),
+            (MonomialOrder("lex", perm), "lex", permuted)]
+
 
 @NF_PROPERTY
 @given(st.lists(_XYZ_TERMS, min_size=2, max_size=3),
-       _XYZ_TERMS.map(lambda t: Polynomial(XYZ, t)),
+       (_XYZ_TERMS | _XYZ_HIGH_TERMS).map(lambda t: Polynomial(XYZ, t)),
        st.permutations([0, 1, 2]).map(tuple))
 def test_normal_form_matches_sympy(gen_terms, f, perm):
     # The remainder modulo a Groebner basis is unique, so ours and
-    # sympy's must agree whatever division each one does.  sympy ranks
-    # gens[0] first, so its gens are the variables in perm order.
+    # sympy's must agree whatever division each one does.
     gens = [Polynomial(XYZ, t) for t in gen_terms]
-    for order, name, syms in [(GREVLEX, "grevlex", "x y z"), (LEX, "lex", "x y z"),
-                              (MonomialOrder("grevlex", perm), "grevlex",
-                               " ".join(XYZ.names[i] for i in perm))]:
+    for order, name, syms in orders(perm):
         basis = buchberger(gens, order)
+        budget = StepBudget(ORACLE_STEPS)
+        try:
+            ours = normal_form(f, basis.generators, order, budget)
+        except BudgetExhausted:
+            continue
         _, expected = sympy.reduced(to_sympy(f), [to_sympy(g) for g in basis],
                                     *sympy.symbols(syms), order=name, domain="QQ")
-        ours = normal_form(f, basis.generators, order)
         assert sympy.expand(expected - to_sympy(ours)) == 0, order
 
 
@@ -294,32 +314,91 @@ def test_normal_form_matches_sympy(gen_terms, f, perm):
 _FRACTION = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
 _DIVIDEND = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _FRACTION,
                             min_size=1, max_size=6)
+_HIGH_DIVIDEND = st.dictionaries(st.tuples(*[st.integers(0, 3) | st.integers(0, 40)] * 3),
+                                 _FRACTION, min_size=1, max_size=3)
 _DIVISOR = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
                            _FRACTION.filter(lambda c: c < 0 or c.denominator > 1),
                            min_size=1, max_size=4)
 
 
+def assert_division_matches_sympy(f, divisors, order, name, syms, limit=DEFAULT_BUDGET):
+    # sympy.reduced runs the same division (leading term first, first
+    # divisible divisor wins), so quotients and remainder must agree.
+    budget = StepBudget(limit)
+    qs, r = divide(f, divisors, order, budget)
+    ctx = f.ctx
+    assert sum((q * g for q, g in zip(qs, divisors)), ctx.zero()) + r == f
+    lead = [order.leading_monomial(g) for g in divisors]
+    assert not any(mono_divides(lm, m) for m in r.terms for lm in lead)
+    for p in qs + [r]:
+        assert all(type(c) is Fraction and c for c in p.terms.values())
+    expected_qs, expected_r = sympy.reduced(
+        to_sympy(f), [to_sympy(g) for g in divisors], *sympy.symbols(syms),
+        order=name, domain="QQ")
+    for q, expected in zip(qs + [r], list(expected_qs) + [expected_r]):
+        assert sympy.expand(expected - to_sympy(q)) == 0, order
+    # one step per single-term elimination: one per quotient term
+    assert budget.used == sum(len(q.terms) for q in qs)
+
+
 @NF_PROPERTY
-@given(_DIVIDEND.map(lambda t: Polynomial(XYZ, t)),
+@given((_DIVIDEND | _HIGH_DIVIDEND).map(lambda t: Polynomial(XYZ, t)),
        st.lists(_DIVISOR.map(lambda t: Polynomial(XYZ, t)), min_size=1, max_size=3),
        st.permutations([0, 1, 2]).map(tuple))
 def test_divide_matches_sympy(f, divisors, perm):
-    # sympy.reduced runs the same division (leading term first, first
-    # divisible divisor wins), so quotients and remainder must agree.
-    for order, name, syms in [(GREVLEX, "grevlex", "x y z"), (LEX, "lex", "x y z"),
-                              (MonomialOrder("grevlex", perm), "grevlex",
-                               " ".join(XYZ.names[i] for i in perm))]:
-        budget = StepBudget(DEFAULT_BUDGET)
-        qs, r = divide(f, divisors, order, budget)
-        assert sum((q * g for q, g in zip(qs, divisors)), XYZ.zero()) + r == f
-        lead = [order.leading_monomial(g) for g in divisors]
-        assert not any(mono_divides(lm, m) for m in r.terms for lm in lead)
-        for p in qs + [r]:
-            assert all(type(c) is Fraction and c for c in p.terms.values())
-        expected_qs, expected_r = sympy.reduced(
-            to_sympy(f), [to_sympy(g) for g in divisors], *sympy.symbols(syms),
-            order=name, domain="QQ")
-        for q, expected in zip(qs + [r], list(expected_qs) + [expected_r]):
-            assert sympy.expand(expected - to_sympy(q)) == 0, order
-        # one step per single-term elimination: one per quotient term
-        assert budget.used == sum(len(q.terms) for q in qs)
+    for order, name, syms in orders(perm):
+        try:
+            assert_division_matches_sympy(f, divisors, order, name, syms, ORACLE_STEPS)
+        except BudgetExhausted:
+            continue
+
+
+@pytest.mark.parametrize("f,divisors,width", [
+    # degree 13 packs exponents below 2^4; the remainder is y^65
+    ("x^13", ["x - y^5"], 8),
+    # y^65*z^14, then z^339: the width doubles twice
+    ("x^13*z", ["x - y^5*z", "y - z^5"], 16),
+])
+def test_lex_division_past_the_packing_width(f, divisors, width):
+    # the step count asserted there holds only if the steps of the
+    # abandoned narrow run are given back
+    f, divisors = pp(f), [pp(g) for g in divisors]
+    assert_division_matches_sympy(f, divisors, LEX, "lex", "x y z")
+    assert [g._packed[0].w for g in divisors] == [width] * len(divisors)
+
+
+def test_packed_divisor_cache_follows_order_and_width():
+    # a divisor keeps the packed record of the last order and width that
+    # asked; any other order or width packs it again
+    g = pp("-2/3*x*z + y^2 - 1/2*z")
+    low = pp("x^3*z + 3*x*y^2*z - y^3 + 5")
+    high = pp("x^9*z^4 - 2*x*y^7 + y")
+    perm = (2, 0, 1)
+    permuted = MonomialOrder("grevlex", perm)
+    for f, order, name, syms in [(low, GREVLEX, "grevlex", "x y z"),
+                                 (low, LEX, "lex", "x y z"),
+                                 (low, permuted, "grevlex", "z x y"),
+                                 (low, GREVLEX, "grevlex", "x y z"),
+                                 (high, GREVLEX, "grevlex", "x y z")]:
+        assert_division_matches_sympy(f, [g], order, name, syms)
+        assert g._packed[0].order is order
+    assert g._packed[0].w > max(low.total_degree(), 1).bit_length()
+    # equality and hashing ignore the record
+    assert g == pp("-2/3*x*z + y^2 - 1/2*z") and hash(g) == hash(pp(str(g)))
+
+
+@NF_PROPERTY
+@given(_DIVISOR.map(lambda t: Polynomial(XYZ, t)), _DIVISOR.map(lambda t: Polynomial(XYZ, t)),
+       st.permutations([0, 1, 2]).map(tuple))
+def test_spoly_matches_fraction_formula(f, g, perm):
+    for order, _, _ in orders(perm):
+        mf, cf = order.leading_term(f)
+        mg, cg = order.leading_term(g)
+        lcm = mono_lcm(mf, mg)
+        uf = Polynomial(XYZ, {mono_div(lcm, mf): 1 / cf})
+        ug = Polynomial(XYZ, {mono_div(lcm, mg): 1 / cg})
+        s = spoly(f, g, order)
+        assert s == uf * f - ug * g
+        assert all(type(c) is Fraction and c for c in s.terms.values())
+        # dividing s reads the packed numerators spoly left on it
+        assert divide(s, [f, g], order) == divide(Polynomial(XYZ, s.terms), [f, g], order)
