@@ -164,7 +164,7 @@ def _root_with_leading(c_poly: Polynomial, k: int,
     packing = _packing(ctx.nvars, big_d)
     d, nums = _pack(packing, c_poly.terms)
     x_j = packing.units[j]
-    shift, mask = packing.w * j, packing.limit - 1
+    shift, mask = packing.shifts[j], packing.mask
     lead = 0
     a: Dict[int, List[Tuple[int, int]]] = {}  # t -> numerators of a_t
     for mono, v in nums:

@@ -8,7 +8,7 @@ loudly with BudgetExhausted, never silently.
 An order has two definitions of itself, both fixed by its kind and perm:
 a sort key on exponent tuples (GREVLEX.key is poly.grevlex_key, the key
 `str()` prints terms by) and a packing of monomials into ints whose int
-order is the order (`MonomialOrder.packing`, after Monagan and Pearce,
+order is the order (`_order_packing`, after Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007).  In a packed monomial a product is one addition
 and a divisibility test one subtraction.
@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import add, le, mul, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .poly import Monomial, Polynomial, _pack, _polynomial, _raw, grevlex_key
+from .poly import (Monomial, Polynomial, _MonomialPacking, _pack, _polynomial, _raw,
+                   grevlex_key)
 
 DEFAULT_BUDGET = 100_000
 
@@ -81,7 +83,7 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-class _OrderPacking:
+class _OrderPacking(_MonomialPacking):
     """Monomials in nvars variables packed into ints whose int order is a
     monomial order, for exponents and total degrees below 2^w.
 
@@ -98,7 +100,7 @@ class _OrderPacking:
     borrows sets its guard.
     """
 
-    __slots__ = ("order", "w", "units", "shifts", "mask", "ones", "guards")
+    __slots__ = ("order", "w", "ones", "guards")
 
     def __init__(self, order: "MonomialOrder", nvars: int, w: int) -> None:
         width = w + 1
@@ -121,15 +123,6 @@ class _OrderPacking:
     def monomial(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.units))
 
-    def pack(self, items):
-        units = self.units
-        return [(sum(map(mul, m, units)), c) for m, c in items]
-
-    def unpack(self, items):
-        # the nonzero terms, monomials back as tuples
-        mask, shifts = self.mask, self.shifts
-        return [(tuple([(m >> s) & mask for s in shifts]), v) for m, v in items if v]
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -139,14 +132,13 @@ class MonomialOrder:
     significant variable index.  None means context order; otherwise it
     must be a permutation of range(nvars) for the polynomials ordered.
     `key(mono)`, larger for larger monomials, is chosen at construction;
-    `packing(nvars, w)` packs monomials into ints in the same order.
+    `_order_packing(order, nvars, w)` packs monomials into ints in the
+    same order.
     """
 
     kind: str = "grevlex"
     perm: Optional[Tuple[int, ...]] = None
     key: Callable[[Monomial], tuple] = field(init=False, repr=False, compare=False)
-    _packings: Dict[Tuple[int, int], _OrderPacking] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("grevlex", "lex"):
@@ -160,14 +152,6 @@ class MonomialOrder:
             unpermuted = key
             key = lambda m: unpermuted(tuple(m[i] for i in perm))
         object.__setattr__(self, "key", key)
-
-    def packing(self, nvars: int, w: int) -> _OrderPacking:
-        """This order's packing of nvars variables for exponents and
-        degrees below 2^w; one object per (nvars, w)."""
-        got = self._packings.get((nvars, w))
-        if got is None:
-            got = self._packings[nvars, w] = _OrderPacking(self, nvars, w)
-        return got
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
         if p.is_zero():
@@ -198,6 +182,17 @@ class MonomialOrder:
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
+
+
+@lru_cache(maxsize=1024)
+def _order_packing(order: MonomialOrder, nvars: int, w: int) -> _OrderPacking:
+    """The packing of order on nvars variables for exponents and degrees
+    below 2^w.
+
+    An _OrderPacking is never changed after construction, so equal
+    orders share one.
+    """
+    return _OrderPacking(order, nvars, w)
 
 
 # -- packed records -----------------------------------------------------
@@ -237,9 +232,9 @@ def _packing_for(order: MonomialOrder, polys: Sequence[Polynomial],
     w = max(degree, 1).bit_length()
     for p in polys:
         rec = p._packed
-        if rec is not None and rec[0].order is order and rec[0].w > w:
+        if rec is not None and rec[0].order == order and rec[0].w > w:
             w = rec[0].w
-    return order.packing(polys[0].ctx.nvars, w)
+    return _order_packing(order, polys[0].ctx.nvars, w)
 
 
 def _fractions(ctx, packing: _OrderPacking, items) -> Polynomial:
@@ -303,7 +298,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
             return done
         if budget is not None:
             budget.used = used
-        packing = order.packing(ctx.nvars, 2 * packing.w)
+        packing = _order_packing(order, ctx.nvars, 2 * packing.w)
 
 
 def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPacking,

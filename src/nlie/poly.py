@@ -397,7 +397,24 @@ def _cleared(terms: Mapping[Monomial, Fraction],
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
 
 
-class _Packing:
+class _MonomialPacking:
+    """Monomials packed into ints as sum(e_j * units[j]); exponent e_j
+    reads back as (m >> shifts[j]) & mask.  A subclass lays out the
+    fields; packing and unpacking are the same for every layout."""
+
+    __slots__ = ("units", "shifts", "mask")
+
+    def pack(self, items: Iterable[Tuple[Monomial, int]]) -> _PackedPoly:
+        units = self.units
+        return [(sum(map(mul, m, units)), c) for m, c in items]
+
+    def unpack(self, items: Iterable[Tuple[int, Scalar]]) -> List[Tuple[Monomial, Scalar]]:
+        # the nonzero terms, monomials back as tuples
+        mask, shifts = self.mask, self.shifts
+        return [(tuple([(m >> s) & mask for s in shifts]), v) for m, v in items if v]
+
+
+class _Packing(_MonomialPacking):
     """Monomials in nvars variables packed into ints, for degrees < 2^w.
 
     Exponent e_j sits in bits [w*j, w*(j+1)) and the total degree above
@@ -409,28 +426,20 @@ class _Packing:
     product could leave that range.
     """
 
-    __slots__ = ("w", "nvars", "units", "shift", "limit")
+    __slots__ = ("w", "nvars", "shift", "limit")
 
     def __init__(self, nvars: int, w: int) -> None:
         self.w = w
         self.nvars = nvars
         self.shift = w * nvars
         self.units = tuple((1 << (w * j)) + (1 << self.shift) for j in range(nvars))
+        self.shifts = tuple(range(0, self.shift, w))
         self.limit = 1 << w
+        self.mask = self.limit - 1
 
     def check(self, degree: int) -> None:
         if degree >= self.limit:
             raise OverflowError(f"degree {degree} exceeds the packing bound {self.limit}")
-
-    def pack(self, items: Iterable[Tuple[Monomial, int]]) -> _PackedPoly:
-        units = self.units
-        return [(sum(map(mul, m, units)), c) for m, c in items]
-
-    def unpack(self, items: Iterable[Tuple[int, Scalar]]) -> List[Tuple[Monomial, Scalar]]:
-        # the nonzero terms, monomials back as tuples
-        mask = self.limit - 1
-        shifts = range(0, self.shift, self.w)
-        return [(tuple([(m >> s) & mask for s in shifts]), v) for m, v in items if v]
 
     def degree(self, items: _PackedPoly) -> int:
         # the monomials of items are distinct, so max never compares values
@@ -443,7 +452,7 @@ class _Packing:
         distinct partials in one variable, so no sum can cancel.
         """
         grads: Dict[int, _PackedPoly] = {}
-        w, mask = self.w, self.limit - 1
+        w, mask = self.w, self.mask
         for m, c in items:
             shift = 0
             for j, unit in enumerate(self.units):
