@@ -17,13 +17,19 @@ finite checks:
   (2x2 Jacobian minors against C, or brackets against generator tuples)
   and solve for the whole center in bounded degree as one exact linear
   system, {x_I, f} = 0 for every increasing (n-1)-tuple I of generators,
-  with one sparse row per (I, output monomial) of the bracket images.
+  with one sparse row per (I, output monomial) of the bracket images,
+  solved by rational_nullspace on integer rows.
 
 * saturate_poisson_ideal grows an ideal from seeds by alternating
   Groebner normalization with bracketing against generator tuples until
   it stabilizes or swallows 1, with explicit budgets.
 
-All three bracket through one map, _generator_brackets.
+The probe and saturation bracket many elements against the same tuples,
+so they share one generator table, _GeneratorBrackets: it brackets each
+increasing n-tuple of generators once per call and assembles every
+{x_I, f} from those values and the partials of f.  Membership brackets
+a single element, and C(nvars, n-1) direct bracket calls cost less than
+the C(nvars, n) calls of a table, so it calls the bracket directly.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .brackets import poly_det
 from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
-from .poly import (Polynomial, VarContext, _int_mul, _int_pow, _pack, _packing,
+from .poly import (_ONE, _ZERO, Polynomial, Scalar, VarContext, _int_mul,
+                   _int_pow, _pack, _Packing, _packing, _PackedPoly, _polynomial,
                    _raw)
 from .quotient import QuotientContext
 
@@ -47,73 +54,114 @@ class NotHomogeneous(ValueError):
 
 # -- linear algebra helpers ----------------------------------------------
 
-def rational_nullspace(rows: Sequence[Mapping[int, Fraction]],
+def rational_nullspace(rows: Sequence[Mapping[int, Scalar]],
                        ncols: int) -> List[List[Fraction]]:
     """Basis of the right nullspace of a rational matrix.
 
-    Each row maps a column in range(ncols) to its entry; a missing or
-    zero entry counts as 0.  Each basis vector is dense, with 1 in its
-    own free column and 0 in the other free columns; vectors come out in
-    increasing free-column order, so the result is deterministic.
+    Each row maps a column in range(ncols) to its entry, an int or a
+    Fraction; a missing or zero entry counts as 0.  Each basis vector is
+    dense, with 1 in its own free column and 0 in the other free
+    columns; vectors come out in increasing free-column order, so the
+    result is deterministic.
 
     This is the package's one exact rational elimination: ranks and Gram
-    nondegeneracy elsewhere are read off its length.  Gauss-Jordan runs
-    on sparse rows, so a row update costs the nonzero entries of the
-    pivot row only, and an index from each column to the rows holding
-    it means only those rows are visited to find the pivot and clear
-    its column.  Neither the order of the rows nor which row serves as
-    pivot matters: the reduced row echelon form is unique.  The input
-    rows are left alone.
+    nondegeneracy elsewhere are read off its length.  It is
+    integer-preserving Gauss-Jordan in the spirit of Bareiss (Math. Comp.
+    1968): each row is cleared once to integers and divided by its
+    content, a row update a*row - b*pivot_row uses the cofactors of
+    gcd(a, b) and divides the updated row by its content again, and only
+    the basis vectors are built as Fractions.  The rows are sparse: an
+    update costs the nonzero entries of the two rows, and an index from
+    each column to the rows holding it means only those rows are visited
+    to find the pivot and clear its column.  A row that cancels to zero
+    is dropped at once.  Neither the order of the rows nor which row
+    serves as pivot matters: the reduced row echelon form is unique, and
+    each reduced row here is a positive multiple of its row there.  The
+    input rows are left alone: one already in primitive integer form
+    (int entries, none zero, content 1) is read in place and copied only
+    when the elimination first changes it, so rows that no pivot reaches
+    cost no copy.
 
     Raises:
         ValueError: an entry's column is not in range(ncols).
     """
     cols = range(ncols)
-    work: Dict[int, Dict[int, Fraction]] = {}  # row id -> its current entries
-    holders: Dict[int, Set[int]] = {}  # column -> ids of the rows holding it
+    work: Dict[int, Mapping[int, int]] = {}  # row id -> its current entries
+    holders: Dict[int, List[int]] = {}  # column -> ids of the rows holding it
     for r, row in enumerate(rows):
         for c in row:
             if c not in cols:
                 raise ValueError(f"column {c!r} not in range({ncols})")
-        work[r] = {c: v for c, v in row.items() if v}
-        for c in work[r]:
-            holders.setdefault(c, set()).add(r)
-    pending = set(work)
-    reduced: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> its row
-    for col in range(ncols):
+        live = [(c, v) for c, v in row.items() if v]
+        if not live:
+            continue
+        d = lcm(*[v.denominator for _, v in live])
+        ints = [(c, v.numerator * (d // v.denominator)) for c, v in live]
+        g = gcd(*[v for _, v in ints])
+        if g == 1 and len(live) == len(row) and all(type(v) is int for _, v in live):
+            work[r] = row
+        else:
+            work[r] = {c: v // g for c, v in ints}
+        for c, _ in ints:
+            holders.setdefault(c, []).append(r)
+    reduced: Dict[int, int] = {}  # pivot column -> id of its row
+    pivots: Set[int] = set()
+    for col in cols:
         ids = holders.get(col, ())
-        piv = min((r for r in ids if r in pending), default=None)
+        # the shortest row adds the least fill-in; any pivot gives the
+        # same reduced form
+        piv = min((r for r in ids if r not in pivots), default=None,
+                  key=lambda r: (len(work[r]), r))
         if piv is None:
             continue
-        pending.remove(piv)
-        scale = work[piv][col]
-        prow = work[piv] = {c: v / scale for c, v in work[piv].items()}
+        pivots.add(piv)
+        prow = work[piv]
+        a = prow[col]
+        if a < 0:
+            a = -a
+            prow = work[piv] = {c: -v for c, v in prow.items()}
         for r in [r for r in ids if r != piv]:
             row = work[r]
-            f = row[col]
-            for c, b in prow.items():
+            if row is rows[r]:
+                row = work[r] = dict(row)
+            b = row[col]
+            g = gcd(a, b)
+            ma, mb = a // g, b // g
+            if ma != 1:
+                for c in row:
+                    row[c] *= ma
+            for c, p in prow.items():
                 old = row.get(c)
                 if old is None:
-                    row[c] = -f * b
-                    holders[c].add(r)
+                    row[c] = -mb * p
+                    holders[c].append(r)
                     continue
-                v = old - f * b
+                v = old - mb * p
                 if v:
                     row[c] = v
                 else:
                     del row[c]
                     holders[c].remove(r)
-        reduced[col] = prow
-        if not pending:
+            if not row:  # a dependent row; a pivot row keeps its pivot
+                del work[r]
+                continue
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+        reduced[col] = piv
+        if len(pivots) == len(work):
             break
     basis = []
-    for fc in range(ncols):
+    for fc in cols:
         if fc in reduced:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pcol, prow in reduced.items():
-            vec[pcol] = -prow.get(fc, Fraction(0))
+        vec = [_ZERO] * ncols
+        vec[fc] = _ONE
+        for pcol, pid in reduced.items():
+            v = work[pid].get(fc)
+            if v:
+                vec[pcol] = Fraction(-v, work[pid][pcol])
         basis.append(vec)
     return basis
 
@@ -375,18 +423,76 @@ def center_membership_jacobian(bracket, f: Polynomial,
     return (not witnesses), witnesses
 
 
-def _generator_brackets(bracket, f: Polynomial
-                        ) -> Iterator[Tuple[Tuple[int, ...], Polynomial]]:
-    """Yield (I, {x_I, f}) for every increasing (n-1)-tuple I of generators.
+class _GeneratorBrackets:
+    """The brackets {x_I, f} for every increasing (n-1)-tuple I of generators.
 
-    I is a tuple of variable indices.  By the derivation property f is
-    central iff every one of these brackets vanishes, so membership, the
-    probe and saturation all bracket against exactly these tuples.
+    By the derivation property f is central iff every one of these
+    brackets vanishes, so the probe and saturation bracket against
+    exactly these tuples.  The bracket is a derivation in its last
+    argument, so {x_I, f} = sum_j df/dx_j * {x_I, x_j}, where
+    {x_I, x_j} is 0 for j in I and otherwise (-1)^#{i in I : i > j}
+    {x_K}, K being I and j sorted.  The map calls the bracket once for
+    each increasing n-tuple K, when it is built, and packs those values
+    over one common denominator E once per packing width; each f then
+    costs one `_pack`, one row of partials and one `_int_mul` per (I, j).
+    A map serves one probe or saturation call and is dropped with it.
     """
-    ctx = bracket.ctx
-    gens = ctx.gens()
-    for idxs in itertools.combinations(range(ctx.nvars), bracket.arity - 1):
-        yield idxs, bracket(*(gens[i] for i in idxs), f)
+
+    def __init__(self, bracket) -> None:
+        ctx = self.ctx = bracket.ctx
+        gens = ctx.gens()
+        nvars = range(ctx.nvars)
+        values = {}
+        for key in itertools.combinations(nvars, bracket.arity):
+            val = bracket(*(gens[i] for i in key))
+            if val:
+                values[key] = val.terms
+        self.degree = max([sum(m) for v in values.values() for m in v], default=0)
+        self.E = lcm(*[q.denominator for v in values.values() for q in v.values()])
+        # for each I, j -> (-1)^#{i in I : i > j} {x_K}, the nonzero ones
+        self._tuples = []
+        for idxs in itertools.combinations(nvars, bracket.arity - 1):
+            signed = {}
+            for j in nvars:
+                key = tuple(sorted(idxs + (j,)))
+                if j not in idxs and key in values:
+                    signed[j] = (key, sum(i > j for i in idxs) % 2)
+            self._tuples.append((idxs, signed))
+        self._values = values
+        self._packed: Dict[int, list] = {}  # packing width -> packed _tuples
+
+    def packing(self, degree: int) -> _Packing:
+        """A packing that holds {x_I, f} for every f of degree <= degree."""
+        return _packing(self.ctx.nvars, max(degree, 0) + self.degree)
+
+    def sums(self, packing: _Packing, items: _PackedPoly
+             ) -> Iterator[Tuple[Tuple[int, ...], Dict[int, int]]]:
+        """Yield (I, sums) with {x_I, f} = sums / (E * d), for f the
+        numerators `items` over d, packed by `packing`; sums that cancel
+        stay as 0."""
+        table = self._packed.get(packing.w)
+        if table is None:
+            packed = {key: _pack(packing, v, self.E)[1] for key, v in self._values.items()}
+            negated = {key: [(m, -v) for m, v in p] for key, p in packed.items()}
+            table = self._packed[packing.w] = [
+                (idxs, {j: (negated if odd else packed)[key]
+                        for j, (key, odd) in signed.items()})
+                for idxs, signed in self._tuples]
+        grads = packing.partials(items)
+        for idxs, signed in table:
+            acc: Dict[int, int] = {}
+            for j, entry in grads.items():
+                value = signed.get(j)
+                if value:
+                    _int_mul(entry, value, acc)
+            yield idxs, acc
+
+    def __call__(self, f: Polynomial) -> Iterator[Tuple[Tuple[int, ...], Polynomial]]:
+        """Yield (I, {x_I, f}) for every increasing (n-1)-tuple I."""
+        packing = self.packing(f.total_degree())
+        d, items = _pack(packing, f.terms)
+        for idxs, acc in self.sums(packing, items):
+            yield idxs, _polynomial(self.ctx, packing, (self.E * d, acc.items()))
 
 
 def center_membership_table(bracket, f: Polynomial,
@@ -395,13 +501,17 @@ def center_membership_table(bracket, f: Polynomial,
     """Centrality of f for a table bracket via generator tuples.
 
     By the derivation property it is enough that the bracket of f with
-    every increasing (n-1)-tuple of generators vanishes.
+    every increasing (n-1)-tuple of generators vanishes.  Each is one
+    direct bracket call: for a single element that is cheaper than a
+    _GeneratorBrackets table, which brackets every n-tuple.
     """
     ctx = bracket.ctx
     if f.ctx != ctx:
         raise ValueError("f from the wrong context")
+    gens = ctx.gens()
     witnesses = []
-    for idxs, val in _generator_brackets(bracket, f):
+    for idxs in itertools.combinations(range(ctx.nvars), bracket.arity - 1):
+        val = bracket(*(gens[i] for i in idxs), f)
         if qctx is not None:
             val = qctx.reduce(val)
         if not val.is_zero():
@@ -447,11 +557,12 @@ class CenterProbeReport:
 
 
 # Largest number of unknowns, C(nvars + d, nvars) monomials of degree
-# <= d, that center_probe solves for.  Time grows about 4x and memory
-# about 2.5x per degree: on a 2-core Xeon VM canonical Malcev takes
-# 0.04 s at degree 3 (120 unknowns, the largest in the suite), 0.17 s at
-# 4 (330) and 0.71 s at 5 (792, 4.7 MB traced peak), and the 5-ary
-# quadric 0.55 s at degree 5 (462).
+# <= d, that center_probe solves for.  Time and memory grow about 3x per
+# degree: on a shared 2-core Xeon VM (min of 3, two runs) canonical Malcev
+# takes 0.007-0.011 s at degree 3 (120 unknowns, the largest in the
+# suite, 0.4 MB traced peak), 0.023-0.036 s at 4 (330, 1.0 MB) and
+# 0.056-0.099 s at 5 (792, 2.6 MB), and the 5-ary quadric 0.036-0.056 s
+# at degree 5 (462, 2.8 MB).
 MAX_CENTER_COLUMNS = 500
 
 
@@ -464,8 +575,8 @@ def center_probe(bracket, max_degree: int,
     C - lambda itself would pollute the answer).  Centrality against
     every increasing (n-1)-tuple I of generators is a rational linear
     system with one sparse row per (I, output monomial): the terms of
-    each (reduced) image {x_I, m} land in column m.  Its nullspace is
-    returned as polynomials.
+    each (reduced) image {x_I, m}, from one _GeneratorBrackets table,
+    land in column m.  Its nullspace is returned as polynomials.
 
     Raises:
         BudgetExhausted: more than MAX_CENTER_COLUMNS unknowns, before
@@ -481,14 +592,23 @@ def center_probe(bracket, max_degree: int,
     if qctx is not None:
         lead = qctx.modulus.leading_monomials()
         monos = [m for m in monos if not any(mono_divides(l, m) for l in lead)]
-    rows: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, Fraction]] = {}
+    brackets = _GeneratorBrackets(bracket)
+    packing = brackets.packing(max_degree)
+    # the images of every column share the denominator E, so a row
+    # scaled by E, with integer entries, has the same nullspace
+    rows: Dict[tuple, Dict[int, Scalar]] = {}
     for col, mono in enumerate(monos):
-        for idxs, val in _generator_brackets(bracket, Polynomial(ctx, {mono: 1})):
-            if qctx is not None:
-                val = qctx.reduce(val)
-            for out, c in val.terms.items():
-                rows.setdefault((idxs, out), {})[col] = c
-    null = rational_nullspace(list(rows.values()), len(monos))
+        for idxs, acc in brackets.sums(packing, packing.pack([(mono, 1)])):
+            if qctx is None:
+                items = acc.items()
+            else:
+                items = qctx.reduce(_polynomial(ctx, packing, (1, acc.items()))).terms.items()
+            for out, c in items:
+                if c:
+                    rows.setdefault((idxs, out), {})[col] = c
+    system = list(rows.values())
+    del rows  # frees the row keys, which the elimination does not read
+    null = rational_nullspace(system, len(monos))
     basis = tuple(Polynomial(ctx, dict(zip(monos, vec))) for vec in null)
     mode = "quotient" if qctx is not None else "ambient"
     return CenterProbeReport(mode, max_degree, len(basis), basis)
@@ -548,6 +668,7 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
     if all(qctx.is_zero(s) for s in seeds):
         raise ValueError("all seeds are zero in the quotient")
 
+    brackets = _GeneratorBrackets(bracket)
     budget = StepBudget(step_limit)
     order = qctx.modulus.order
     report = SaturationReport(tuple(seeds), qctx.lam, "budget-exhausted")
@@ -561,7 +682,7 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
             fresh: List[Polynomial] = []
             seen = set()
             for g in basis.generators:
-                for _, val in _generator_brackets(bracket, g):
+                for _, val in brackets(g):
                     red = basis.reduce(val, budget)
                     if red.is_zero():
                         continue

@@ -22,8 +22,9 @@ from nlie.groebner import GREVLEX
 from nlie.parser import parse_polynomial
 from nlie.poly import Polynomial, VarContext, context
 from nlie.quotient import QuotientContext
-from nlie.structures import (make_elliptic, make_malcev_canonical,
-                             make_malcev_splittable, make_nlie, make_quadric,
+from nlie.structures import (make_elliptic, make_malcev_abg,
+                             make_malcev_canonical, make_malcev_splittable,
+                             make_nlie, make_nlie_diagonal, make_quadric,
                              make_sl2)
 
 XY = context("x", "y")
@@ -463,6 +464,64 @@ def test_membership_routes_agree_on_jacobian_brackets(case):
     assert by_pair_t.keys() == by_pair_j.keys()
     for pair, val in by_pair_t.items():
         assert val in (by_pair_j[pair], -by_pair_j[pair])
+
+
+# Mixed denominators, plain ints and a large integer, so that both the
+# common denominator of the generator values and that of f are exercised.
+_MIXED = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(5, 6),
+                          Fraction(-7, 9), Fraction(1, 12), 10 ** 6 + 3])
+
+
+@st.composite
+def _mixed_polys(draw, ctx, max_degree, max_terms=4):
+    """Polynomials of degree <= max_degree with coefficients from _MIXED."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        vars_ = draw(st.lists(st.integers(0, ctx.nvars - 1), max_size=max_degree))
+        terms[tuple(vars_.count(i) for i in range(ctx.nvars))] = draw(_MIXED)
+    return Polynomial(ctx, terms)
+
+
+# The table brackets of the built-in algebras (by make_nlie's table for
+# the Jacobian ones), elliptic's Jacobian bracket, and the diagonal nlie
+# algebras at arities 3 and 4.
+_TABLE_BRACKETS = [spec.table_bracket() for spec in (
+    make_sl2(), make_quadric(2), make_quadric(3), make_quadric(4),
+    make_malcev_canonical(), make_malcev_splittable(),
+    make_malcev_abg(2, Fraction(1, 3), -1),
+    make_nlie_diagonal([1, 2, Fraction(-1, 2), 3]),
+    make_nlie_diagonal([1, Fraction(2, 3), -1, 3, 5]))] + [make_elliptic(2).bracket]
+
+
+@st.composite
+def generator_map_cases(draw):
+    """A bracket and an element f of degree <= 4 in its context.
+
+    Half the brackets are Jacobian brackets of random Casimirs in 2
+    (arity 1), 3 or 4 variables; the rest are the brackets above.
+    """
+    if draw(st.booleans()):
+        ctx = VarContext(tuple(f"x{i}" for i in range(draw(st.integers(2, 4)))))
+        casimir = draw(_mixed_polys(ctx, 3).filter(lambda p: not p.is_constant()))
+        bracket = JacobianBracket(casimir)
+    else:
+        bracket = draw(st.sampled_from(_TABLE_BRACKETS))
+    return bracket, draw(_mixed_polys(bracket.ctx, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_map_cases())
+def test_generator_map_equals_direct_brackets(case):
+    # {x_I, f} assembled from the brackets of generator n-tuples must be
+    # the bracket itself, for every increasing (n-1)-tuple I
+    bracket, f = case
+    ctx = bracket.ctx
+    gens = ctx.gens()
+    got = list(analysis._GeneratorBrackets(bracket)(f))
+    assert [idxs for idxs, _ in got] == list(
+        itertools.combinations(range(ctx.nvars), bracket.arity - 1))
+    for idxs, val in got:
+        assert val == bracket(*(gens[i] for i in idxs), f)
 
 
 # -- saturation ----------------------------------------------------------

@@ -21,8 +21,11 @@ from nlie.suite import _span_matches
 PROPERTY = settings(max_examples=80, deadline=None)
 
 # Mostly zeros, so that sparse rows and rank deficiency are common.
-_entries = st.sampled_from([Fraction(0)] * 4 + [Fraction(v) for v in (
-    1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))])
+# Mixed denominators, plain ints and large integers exercise the clearing
+# of each row to integers and the division by its content.
+_entries = st.sampled_from([Fraction(0)] * 7 + [0] * 3 + [Fraction(v) for v in (
+    1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
+    Fraction(-7, 9), Fraction(1, 12))] + [1, -2, 6, 10 ** 6 + 3, -(10 ** 9 + 7)])
 
 
 def _sympy_rank(rows, ncols):
@@ -87,6 +90,16 @@ def test_rational_nullspace_reads_missing_and_zero_entries_as_zero():
     assert rational_nullspace(rows, 3) == [[Fraction(1), Fraction(0), Fraction(0)]]
     assert rational_nullspace([], 2) == [[Fraction(1), Fraction(0)],
                                          [Fraction(0), Fraction(1)]]
+
+
+def test_rational_nullspace_leaves_integer_rows_alone():
+    # primitive integer rows are read in place: neither negating a pivot
+    # row nor updating a row (one given twice, too) may write to them
+    first = {0: -2, 1: 1}
+    rows = [first, {0: 1, 1: 3, 2: 1}, first, {0: -1, 1: 4, 2: 1}]
+    before = [dict(r) for r in rows]
+    assert rational_nullspace(rows, 3) == [[Fraction(-1, 7), Fraction(-2, 7), Fraction(1)]]
+    assert rows == before
 
 
 def _ctx(nvars):
