@@ -18,10 +18,15 @@ in poly runs on its own: a polynomial is cleared once to integer
 numerators over its denominator and packed once per order and width,
 and the record is cached on it (`_record`), so a basis element used in
 every division is packed once.  The work terms are integer numerators
-over one common denominator, keyed by their packed monomials, and a
-Fraction is built once per quotient and remainder term, at the end.  A
-polynomial also keeps the leading monomial of the last order that
-asked, for the pair bookkeeping of Buchberger's algorithm.
+over one common denominator, keyed by their packed monomials.  A
+Fraction is built only for a term a caller keeps: the remainder, with
+its content removed by one integer gcd, once per term, and quotient
+terms only when asked for; Buchberger's algorithm and every normal form
+ask for none.  The remainder keeps its record, and `monic` builds its
+result from that record and keeps a primitive one on it, so the next
+division packs nothing again.  A polynomial also keeps the leading
+monomial of the last order that asked, and Buchberger's pairs are keyed
+by the order once, when they are formed.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, le, mul, sub
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import count
+from operator import le, mul
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, Polynomial, _MonomialPacking, _pack, _polynomial, _raw,
                    grevlex_key)
@@ -64,15 +70,6 @@ class StepBudget:
 
 
 # -- exponent tuple helpers --------------------------------------------
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming divisibility."""
-    return tuple(map(sub, a, b))
-
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
@@ -175,9 +172,27 @@ class MonomialOrder:
         return self.leading_term(p)[1]
 
     def monic(self, p: Polynomial) -> Polynomial:
+        """p divided by its leading coefficient.
+
+        When p carries a packed record at this order, the result is built
+        from it: one gcd removes the content of the numerators, one
+        Fraction is built per term, and the result keeps that primitive
+        record and its leading monomial.  Otherwise it is p / lc(p).
+        """
         if p.is_zero():
             return p
-        return p / self.leading_coefficient(p)
+        rec = p._packed
+        if rec is None or rec[0].order != self:
+            return p / self.leading_coefficient(p)
+        packing, _, lead, L, tail, reach = rec
+        h = gcd(L, *[c for _, c in tail])
+        if L < 0:
+            h = -h
+        L //= h
+        tail = [(m, c // h) for m, c in tail]
+        q = _polynomial(p.ctx, packing, (L, [(lead, L), *tail]))
+        _keep(q, self, (packing, L, lead, L, tail, reach))
+        return q
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -213,6 +228,13 @@ def _store(p: Polynomial, packing: _OrderPacking, d: int, items: List[Tuple[int,
     return rec
 
 
+def _keep(p: Polynomial, order: MonomialOrder, rec: tuple) -> None:
+    # p was built from rec with its lead term first: keep rec, and the
+    # lead monomial for order
+    object.__setattr__(p, "_packed", rec)
+    object.__setattr__(p, "_lead", (order, next(iter(p.terms))))
+
+
 def _record(p: Polynomial, packing: _OrderPacking) -> tuple:
     """The record of nonzero p at packing, cleared and packed only when p
     has no record at that packing yet."""
@@ -244,14 +266,52 @@ def _fractions(ctx, packing: _OrderPacking, items) -> Polynomial:
     return _raw(ctx, {m: Fraction(*v) for m, v in packing.unpack(items)})
 
 
+def _remainder(ctx, packing: _OrderPacking, terms: List[Tuple[int, int, int]],
+               D: int) -> Polynomial:
+    """The polynomial of remainder terms (monomial, numerator, the
+    denominator it was set aside over), in decreasing order, each
+    denominator dividing D.
+
+    The numerators are brought to D and their common factor with D
+    removed by one gcd, which also makes the denominator positive, before
+    any Fraction is built.  The result keeps that record unless its
+    degree is past the packing's exponent bound, which a lex remainder
+    can reach.
+    """
+    if not terms:
+        return _raw(ctx, {})
+    items = []
+    at = None
+    for m, a, d in terms:
+        if d is not at:
+            at, scale = d, D // d
+        items.append((m, a * scale))
+    g = gcd(D, *[a for _, a in items])
+    if D < 0:
+        # the work's D takes the sign of the leading coefficients it was
+        # scaled by; a record's denominator is positive
+        g = -g
+    if g != 1:
+        D //= g
+        items = [(m, a // g) for m, a in items]
+    r = _polynomial(ctx, packing, (D, items))
+    degree = r.total_degree()
+    if degree <= packing.mask:
+        lead, L = items[0]
+        _keep(r, packing.order, (packing, D, lead, L, items[1:], degree * packing.ones))
+    return r
+
+
 # -- division -----------------------------------------------------------
 
 def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-           budget: Optional[StepBudget] = None) -> Tuple[List[Polynomial], Polynomial]:
+           budget: Optional[StepBudget] = None, *,
+           quotients: bool = True) -> Tuple[Optional[List[Polynomial]], Polynomial]:
     """Multivariate division of f by an ordered list of divisors.
 
     Returns (quotients, remainder) with f == sum(q_i * g_i) + r and no
     remainder monomial divisible by any divisor's leading monomial.
+    With quotients=False it returns (None, r) and builds no quotient.
 
     The reduction runs on the order's packing: each divisor's record
     (lead L, tail, over its denominator d) is cached on it, and the work
@@ -259,9 +319,11 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     by packed monomials, so the next term is max(work), a divisibility
     test is one subtraction and a shifted tail monomial one addition.
     Eliminating a term a/D scales the work and D by L/gcd(a, L), when
-    that is not 1, and subtracts (a/gcd(a, L)) * shift * tail.
-    Quotient and remainder terms are unpacked, with one Fraction each,
-    at the end.
+    that is not 1, and subtracts (a/gcd(a, L)) * shift * tail.  A term
+    no lead divides is set aside over the D of its time.  At the end the
+    remainder is brought to the final D, its content removed by one gcd,
+    and unpacked with one Fraction per term; it keeps that record (see
+    `_remainder`).  Quotient terms, when asked for, are one Fraction each.
 
     The packing holds every degree of f and of the divisors.  Under
     grevlex no work term has a larger degree than the term it replaces,
@@ -277,6 +339,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
         order: monomial order for leading terms.
         budget: optional shared step budget; each single-term elimination
             costs one step.
+        quotients: build and return the quotients (keyword only).
 
     Raises:
         ValueError: if any divisor is zero.
@@ -286,14 +349,18 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
         if g.is_zero():
             raise ValueError("zero divisor in division")
     ctx = f.ctx
-    lms = [order.leading_monomial(g) for g in divisors]
-    if not any(mono_divides(lm, m) for m in f.terms for lm in lms):
-        return [_raw(ctx, {}) for _ in divisors], f
+    # a dividend with a record at this order (an S-polynomial, a
+    # remainder) is divided without first testing its terms one by one
+    rec = f._packed
+    if rec is None or rec[0].order != order:
+        lms = [order.leading_monomial(g) for g in divisors]
+        if not any(mono_divides(lm, m) for m in f.terms for lm in lms):
+            return ([_raw(ctx, {}) for _ in divisors] if quotients else None), f
     polys = [f, *divisors]
     packing = _packing_for(order, polys, max(p.total_degree() for p in polys))
     used = 0 if budget is None else budget.used
     while True:
-        done = _divide(f, divisors, packing, budget)
+        done = _divide(f, divisors, packing, budget, quotients)
         if done is not None:
             return done
         if budget is not None:
@@ -302,7 +369,8 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
 
 
 def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPacking,
-            budget: Optional[StepBudget]) -> Optional[Tuple[List[Polynomial], Polynomial]]:
+            budget: Optional[StepBudget], quotients: bool
+            ) -> Optional[Tuple[Optional[List[Polynomial]], Polynomial]]:
     # divide() at one packing; None as soon as an exponent would reach 2^w
     recs = [_record(g, packing) for g in divisors]
     leads = [rec[2] for rec in recs]
@@ -315,8 +383,8 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPackin
         D, items = _pack(packing, f.terms)
         work = dict(items)
     guards = packing.guards
-    quotients: List[list] = [[] for _ in divisors]
-    remainder: list = []
+    qs: Optional[List[list]] = [[] for _ in divisors] if quotients else None
+    remainder: List[Tuple[int, int, int]] = []
     while work:
         mono = max(work)
         a = work.pop(mono)
@@ -329,13 +397,13 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPackin
                 return None
             if budget is not None:
                 budget.spend()
-            quotients[i].append((shift, (a * d, D * L)))
+            if qs is not None:
+                qs[i].append((shift, (a * d, D * L)))
             g = gcd(a, L)
             scale = L // g
             if scale != 1:
                 D *= scale
-                for m in work:
-                    work[m] *= scale
+                work = {m: c * scale for m, c in work.items()}
             a //= g
             get = work.get
             for m, c in tail:
@@ -347,15 +415,18 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPackin
                     del work[m]
             break
         else:
-            remainder.append((mono, (a, D)))
+            remainder.append((mono, a, D))
     ctx = f.ctx
-    return [_fractions(ctx, packing, q) for q in quotients], _fractions(ctx, packing, remainder)
+    r = _remainder(ctx, packing, remainder, D)
+    if qs is None:
+        return None, r
+    return [_fractions(ctx, packing, q) for q in qs], r
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                 budget: Optional[StepBudget] = None) -> Polynomial:
     """Remainder of f on division by divisors."""
-    return divide(f, divisors, order, budget)[1]
+    return divide(f, divisors, order, budget, quotients=False)[1]
 
 
 def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -372,17 +443,19 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
     f._check_ctx(g)
     mf, mg = order.leading_monomial(f), order.leading_monomial(g)
     l = mono_lcm(mf, mg)
-    u, v = mono_div(l, mf), mono_div(l, mg)
-    degree = max(sum(u) + f.total_degree(), sum(v) + g.total_degree())
+    dl = sum(l)
+    degree = max(dl - sum(mf) + f.total_degree(), dl - sum(mg) + g.total_degree())
     packing = _packing_for(order, (f, g), degree)
-    _, _, _, Lf, tail_f, _ = _record(f, packing)
-    _, _, _, Lg, tail_g, _ = _record(g, packing)
+    _, _, lf, Lf, tail_f, _ = _record(f, packing)
+    _, _, lg, Lg, tail_g, _ = _record(g, packing)
     h = gcd(Lf, Lg)
     af, ag = Lg // h, Lf // h
     den = Lf * af
     if den < 0:
         af, ag, den = -af, -ag, -den
-    u, v = packing.monomial(u), packing.monomial(v)
+    # the packing is linear, so the shifts u and v are packed differences
+    l = packing.monomial(l)
+    u, v = l - lf, l - lg
     work = {m + u: af * c for m, c in tail_f}
     get = work.get
     for m, c in tail_g:
@@ -397,45 +470,51 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 
 # -- Buchberger ---------------------------------------------------------
 
-def _update_pairs(basis: List[Polynomial], lms: List[Monomial],
-                  pairs: List[Tuple[int, int]], f: Polynomial,
-                  order: MonomialOrder) -> None:
+# A pending pair is (order.key(lcm), insertion index, lcm, i, j), keyed
+# once when it is formed: min(pairs) is the first smallest lcm in
+# insertion order, and the index is unique, so a comparison never reaches
+# the lcm.
+Pair = Tuple[tuple, int, Monomial, int, int]
+
+
+def _update_pairs(basis: List[Polynomial], lms: List[Monomial], pairs: List[Pair],
+                  f: Polynomial, order: MonomialOrder, index: Iterator[int]) -> None:
     """Gebauer-Moller pair update: append f to basis, prune and extend pairs.
 
-    Mutates basis, its leading monomials lms and pairs in place.
+    Mutates basis, its leading monomials lms and pairs in place; index
+    numbers the new pairs.
     """
     lmf = order.leading_monomial(f)
 
     kept = []
-    for (i, j) in pairs:
-        lcm_ij = mono_lcm(lms[i], lms[j])
+    for pair in pairs:
+        _, _, lcm_ij, i, j = pair
         if (not mono_divides(lmf, lcm_ij)
                 or mono_lcm(lms[i], lmf) == lcm_ij
                 or mono_lcm(lms[j], lmf) == lcm_ij):
-            kept.append((i, j))
+            kept.append(pair)
     pairs[:] = kept
 
     new_idx = len(basis)
-    cand = [(mono_lcm(lm, lmf), i) for i, lm in enumerate(lms)]
-    cand.sort(key=lambda t: order.key(t[0]))
-    minimal: List[Tuple[Monomial, List[int]]] = []
-    for lcm_m, i in cand:
-        covered = False
-        for prev, members in minimal:
+    key = order.key
+    # lcms with equal keys are equal, so ties sort by i, as they were formed
+    cand = sorted((key(lcm_m), i, lcm_m)
+                  for i, lcm_m in enumerate(mono_lcm(lm, lmf) for lm in lms))
+    minimal: List[Tuple[tuple, Monomial, List[int]]] = []
+    for k, i, lcm_m in cand:
+        for _, prev, members in minimal:
             if prev == lcm_m:
                 members.append(i)
-                covered = True
                 break
             if mono_divides(prev, lcm_m):
-                covered = True
                 break
-        if not covered:
-            minimal.append((lcm_m, [i]))
-    for lcm_m, members in minimal:
+        else:
+            minimal.append((k, lcm_m, [i]))
+    for k, lcm_m, members in minimal:
         # Buchberger's first criterion: skip classes containing a coprime pair.
-        if any(lcm_m == mono_mul(lms[i], lmf) for i in members):
+        if any(not any(map(min, lms[i], lmf)) for i in members):
             continue
-        pairs.append((min(members), new_idx))
+        pairs.append((k, next(index), lcm_m, min(members), new_idx))
 
     basis.append(f)
     lms.append(lmf)
@@ -455,7 +534,7 @@ def _interreduce(basis: List[Polynomial], order: MonomialOrder,
     out: List[Polynomial] = []
     for i, g in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
-        _, r = divide(g, others, order, budget)
+        _, r = divide(g, others, order, budget, quotients=False)
         if not r.is_zero():
             out.append(order.monic(r))
     return out
@@ -517,23 +596,26 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
 
     basis: List[Polynomial] = []
     lms: List[Monomial] = []
-    pairs: List[Tuple[int, int]] = []
+    pairs: List[Pair] = []
+    index = count()
     for g in nonzero:
-        _, r = divide(g, basis, order, budget) if basis else ([], g)
+        _, r = divide(g, basis, order, budget, quotients=False) if basis else (None, g)
         if not r.is_zero():
-            _update_pairs(basis, lms, pairs, order.monic(r), order)
+            _update_pairs(basis, lms, pairs, order.monic(r), order, index)
 
-    key = order.key
     while pairs:
-        # the first smallest lcm in insertion order; pairs are distinct
-        ij = min(pairs, key=lambda p: key(mono_lcm(lms[p[0]], lms[p[1]])))
-        pairs.remove(ij)
-        i, j = ij
+        pair = min(pairs)
+        pairs.remove(pair)
+        _, _, _, i, j = pair
         s = spoly(basis[i], basis[j], order)
-        _, r = divide(s, basis, order, budget)
+        _, r = divide(s, basis, order, budget, quotients=False)
         if not r.is_zero():
-            _update_pairs(basis, lms, pairs, order.monic(r), order)
+            _update_pairs(basis, lms, pairs, order.monic(r), order, index)
 
     reduced = _interreduce(_minimalize(basis, lms, order), order, budget)
     reduced.sort(key=lambda p: order.key(order.leading_monomial(p)))
+    # the returned basis keeps no record: a record is as large as the
+    # terms, and a caller that divides by the basis packs it again once
+    for g in reduced:
+        object.__setattr__(g, "_packed", None)
     return GroebnerBasis(tuple(reduced), order)

@@ -6,16 +6,16 @@ a test dependency only.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlie.groebner import (BudgetExhausted, DEFAULT_BUDGET, GREVLEX, LEX,
                            MonomialOrder, StepBudget, buchberger, divide,
-                           mono_div, mono_divides, mono_lcm, mono_mul,
-                           normal_form, spoly)
+                           mono_divides, mono_lcm, normal_form, spoly)
 from nlie.parser import parse_polynomial
 from nlie.poly import Polynomial, VarContext, context, grevlex_key
 from nlie.brackets import random_polynomial
@@ -32,8 +32,6 @@ def to_sympy(p):
 
 
 def test_mono_helpers():
-    assert mono_mul((1, 2), (3, 0)) == (4, 2)
-    assert mono_div((4, 2), (1, 2)) == (3, 0)
     assert mono_lcm((1, 2), (3, 0)) == (3, 2)
     assert mono_divides((1, 0), (2, 5))
     assert not mono_divides((3, 0), (2, 5))
@@ -248,15 +246,46 @@ def _katsura(n):
     return polys
 
 
+def _rescaled(polys, scales):
+    """polys under x_i -> s_i * x_i."""
+    out = []
+    for p in polys:
+        terms = {}
+        for mono, c in p.terms.items():
+            for e, s in zip(mono, scales):
+                c *= s ** e
+            terms[mono] = c
+        out.append(Polynomial(p.ctx, terms))
+    return out
+
+
+# negative and fractional, so the rescaled bases have leading
+# coefficients with content and numerators with common factors
+CYCLIC5_SCALES = (Fraction(2), Fraction(-1, 3), Fraction(3, 2), Fraction(-2, 5), Fraction(5, 7))
+
+
 @pytest.mark.parametrize("polys,order,steps,size", [
     (_cyclic(5), GREVLEX, 1244, 20),
     (_cyclic(5), MonomialOrder("grevlex", (4, 2, 0, 1, 3)), 1488, 20),
     (_katsura(3), LEX, 216, 4),
+    (_katsura(5), GREVLEX, 3262, 22),
+    # rescaling changes every coefficient and no step
+    (_rescaled(_cyclic(5), CYCLIC5_SCALES), GREVLEX, 1244, 20),
 ])
 def test_buchberger_step_counts(polys, order, steps, size):
     budget = StepBudget(DEFAULT_BUDGET)
     gb = buchberger(polys, order, budget)
     assert (budget.used, len(gb)) == (steps, size)
+
+
+def test_rescaled_basis_is_the_rescaled_basis():
+    # x_i -> s_i * x_i maps the reduced basis of cyclic-5 onto the
+    # reduced basis of the rescaled ideal, up to the leading coefficients
+    polys = _cyclic(5)
+    scaled = buchberger(_rescaled(polys, CYCLIC5_SCALES), GREVLEX)
+    expected = [GREVLEX.monic(g) for g in
+                _rescaled(buchberger(polys, GREVLEX).generators, CYCLIC5_SCALES)]
+    assert list(scaled) == expected
 
 
 # -- normal forms against sympy --------------------------------------------
@@ -388,6 +417,14 @@ def test_lex_division_past_the_packing_width(f, divisors, width):
     assert [g._packed[0].w for g in divisors] == [width] * len(divisors)
 
 
+def test_lex_remainder_past_the_degree_bound_keeps_no_record():
+    # y^65*z^200 has every exponent below 2^8, the width of the division,
+    # but its degree is past what a record at that width can bound
+    _, r = divide(pp("x^13*z^200"), [pp("x - y^5")], LEX, quotients=False)
+    assert r == pp("y^65*z^200") and r._packed is None
+    assert LEX.monic(r) == r
+
+
 def test_packed_divisor_cache_follows_order_and_width():
     # a divisor keeps the packed record of the last order and width that
     # asked; any other order or width packs it again
@@ -416,10 +453,73 @@ def test_spoly_matches_fraction_formula(f, g, perm):
         mf, cf = order.leading_term(f)
         mg, cg = order.leading_term(g)
         lcm = mono_lcm(mf, mg)
-        uf = Polynomial(XYZ, {mono_div(lcm, mf): 1 / cf})
-        ug = Polynomial(XYZ, {mono_div(lcm, mg): 1 / cg})
+        uf = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mf)): 1 / cf})
+        ug = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mg)): 1 / cg})
         s = spoly(f, g, order)
         assert s == uf * f - ug * g
         assert all(type(c) is Fraction and c for c in s.terms.values())
         # dividing s reads the packed numerators spoly left on it
         assert divide(s, [f, g], order) == divide(Polynomial(XYZ, s.terms), [f, g], order)
+
+
+# -- packed records ----------------------------------------------------------
+
+def assert_record_exact(p):
+    """p's cached record, if it has one, is exactly p: its lead is p's
+    leading monomial in the record's order, its terms unpack to p.terms,
+    and its reach bounds every exponent below the packing's bound."""
+    rec = p._packed
+    if rec is None:
+        return
+    packing, d, lead, L, tail, reach = rec
+    assert d > 0 and L and all(c for _, c in tail)
+    assert all(m < lead for m, _ in tail)
+    items = [(lead, Fraction(L, d))] + [(m, Fraction(c, d)) for m, c in tail]
+    assert len(items) == len(p.terms)
+    assert dict(packing.unpack(items)) == p.terms
+    assert packing.unpack([(lead, 1)])[0][0] == packing.order.leading_monomial(p)
+    k, rest = divmod(reach, packing.ones)
+    assert rest == 0 and p.total_degree() <= k <= packing.mask
+
+
+def assert_monic_from_record(p, order):
+    m = order.monic(p)
+    assert m == p / order.leading_coefficient(p)
+    assert all(type(c) is Fraction for c in m.terms.values())
+    assert_record_exact(m)
+    if p._packed is not None and p._packed[0].order == order:
+        # built from p's record, and keeps a primitive one
+        _, d, _, L, tail, _ = m._packed
+        assert L == d and gcd(L, *[c for _, c in tail]) == 1
+
+
+@NF_PROPERTY
+@given(_DIVIDEND.map(lambda t: Polynomial(XYZ, t)),
+       st.lists(_DIVISOR.map(lambda t: Polynomial(XYZ, t)), min_size=1, max_size=3),
+       st.permutations([0, 1, 2]).map(tuple),
+       st.sampled_from([1, -1, 6, -6, Fraction(4, 9), Fraction(-10, 3)]))
+# under lex the remainder y^65 needs twice the width of the dividend
+@example(pp("x^13"), [pp("x - y^5")], (2, 0, 1), 1)
+def test_records_are_exact(f, divisors, perm, k):
+    # k gives the divisors negative leads and leads with content
+    divisors = [g * k for g in divisors]
+    for order in (GREVLEX, LEX, MonomialOrder("grevlex", perm)):
+        qs, r = divide(f, divisors, order)
+        none, bare = divide(f, divisors, order, quotients=False)
+        assert none is None and bare == r
+        assert sum((q * g for q, g in zip(qs, divisors)), XYZ.zero()) + r == f
+        s = spoly(divisors[0], divisors[-1], order)
+        assert divide(s, divisors, order, quotients=False)[1] == divide(s, divisors, order)[1]
+        gb = buchberger(divisors, order)
+        # the returned basis keeps no record until it is divided by
+        assert all(g._packed is None for g in gb)
+        gb.reduce(f)
+        for p in [f, r, bare, s, *divisors, *gb]:
+            assert_record_exact(p)
+        for p in [r, s, *divisors]:
+            if not p.is_zero():
+                assert_monic_from_record(p, order)
+        if not r.is_zero() and r._packed is not None:
+            # a remainder's record is in lowest terms
+            _, d, _, L, tail, _ = r._packed
+            assert gcd(d, L, *[c for _, c in tail]) == 1
