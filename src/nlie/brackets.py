@@ -29,26 +29,33 @@ tests/test_brackets.py check them against sympy.
 Every identity verifier, and QuotientContext.verify_grading, runs
 through one driver, `_run_checks`: a deterministic generator-tuple phase
 (complete for multilinear alternating identities), then seeded random
-trials drawn from one random.Random(seed).  A verifier supplies only the
-checks, each a (defect, inputs, note) triple; Filippov and strong share
-`_two_block_checks` for their u and v argument blocks.  The driver
-returns an IdentityReport either way; a report with failures is a
-finding, not an exception.  The verifiers evaluate each check on packed
-integer values, share a field between the brackets of a check that fix
-the same arguments, and build a Polynomial only for the defect.
+trials drawn from one random.Random(seed).  A verifier supplies the
+checks, each a value that is falsy when the check passes and a function
+that builds the failure record.  A report with failures is a finding,
+not an exception.  What a PASS means:
+
+* generator phases (skew, Filippov, strong, Malcev) and every Filippov,
+  Malcev and grading trial: the defect is zero, exactly.  Filippov runs on the
+  Lie derivative of the bracket's n-vector field (`_lie_derivative`).
+* skew, Leibniz and strong trials: the defect vanishes at one random
+  point p of [1, 2^32)^nvars per call, computed by the kernel on the
+  gradients there (`_Point`).  A nonzero defect of degree d does so
+  with probability at most d / (2^32 - 1) (Schwartz, J. ACM 1980).
+  A failure's record holds its exact defect, from the public brackets.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm, prod
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import (Monomial, Polynomial, VarContext, _int_mul, _pack, _packing,
-                   _PackedPoly, _PackedValue, _Packing, _polynomial, _raw)
+from .poly import (Monomial, Polynomial, VarContext, _cleared, _int_mul, _pack,
+                   _packing, _PackedPoly, _PackedValue, _Packing, _polynomial, _raw)
 
 MAX_STORED_FAILURES = 12
 
@@ -61,8 +68,8 @@ class ArityMismatch(ValueError):
 # column to its nonzero entry, a missing column being zero.
 _IntRow = Dict[int, _PackedPoly]
 # for each variable j, the keys I containing j as (I - j, its bit mask,
-# (-1)^p * c_I packed) with p the position of j in I
-_ByVar = Tuple[Tuple[Tuple[Tuple[int, ...], int, _PackedPoly], ...], ...]
+# (-1)^p, c_I packed) with p the position of j in I
+_ByVar = Tuple[Tuple[Tuple[Tuple[int, ...], int, int, _PackedPoly], ...], ...]
 
 
 def _var_mask(row: _IntRow) -> int:
@@ -71,6 +78,17 @@ def _var_mask(row: _IntRow) -> int:
     for j in row:
         mask |= 1 << j
     return mask
+
+
+def _by_var(nvars: int, keyed: Iterable[Tuple[Tuple[int, ...], _PackedPoly]]) -> _ByVar:
+    """Regroup packed coefficients (I, c_I) by variable, each entry with
+    its sign instead of a negated copy of c_I."""
+    lists: List[list] = [[] for _ in range(nvars)]
+    for idxs, c in keyed:
+        for pos, j in enumerate(idxs):
+            rest = idxs[:pos] + idxs[pos + 1:]
+            lists[j].append((rest, sum(1 << i for i in rest), -1 if pos % 2 else 1, c))
+    return tuple(map(tuple, lists))
 
 
 def _int_det(rows: Sequence[_IntRow], cols: Tuple[int, ...],
@@ -161,44 +179,73 @@ def jacobian(fs: Sequence[Polynomial]) -> Polynomial:
 
 
 class _Coeffs:
-    """The cleared coefficients of a bracket.
+    """The cleared coefficients of a bracket: one common denominator E;
+    for each nonzero c_I in `keyed` the key I and the terms of c_I;
+    `degree`, the largest total degree of a c_I.  Once per packing width
+    they are packed over E and regrouped by variable (`by_var`), and
+    laid out for `_lie_derivative` (`lie`)."""
 
-    One common denominator E; for each nonzero c_I in `keyed` the key I
-    and the terms of c_I; `degree`, the largest total degree of a c_I.
-    `by_var` regroups them by variable, packed over E, once per packing
-    width.
-    """
-
-    __slots__ = ("E", "keyed", "degree", "_by_var")
+    __slots__ = ("E", "keyed", "degree", "_by_var", "_lie")
 
     def __init__(self, coeffs: Iterable[Tuple[Tuple[int, ...], Polynomial]]) -> None:
         coeffs = [(idxs, c) for idxs, c in coeffs if c]
-        self.E = E = lcm(*[q.denominator for _, c in coeffs for q in c.terms.values()])
+        self.E = lcm(*[q.denominator for _, c in coeffs for q in c.terms.values()])
         self.keyed = tuple((idxs, c.terms) for idxs, c in coeffs)
         self.degree = max([c.total_degree() for _, c in coeffs], default=0)
         self._by_var: Dict[int, _ByVar] = {}
+        self._lie: Dict[int, list] = {}
 
     def by_var(self, packing: _Packing) -> _ByVar:
         got = self._by_var.get(packing.w)
         if got is None:
-            lists: List[list] = [[] for _ in range(packing.nvars)]
-            for idxs, c in self.keyed:
-                packed = _pack(packing, c, self.E)[1]
-                negated = [(m, -v) for m, v in packed]
-                for pos, j in enumerate(idxs):
-                    rest = idxs[:pos] + idxs[pos + 1:]
-                    lists[j].append((rest, sum(1 << i for i in rest),
-                                     negated if pos % 2 else packed))
-            got = self._by_var[packing.w] = tuple(tuple(t) for t in lists)
+            got = self._by_var[packing.w] = _by_var(packing.nvars, [
+                (idxs, _pack(packing, c, self.E)[1]) for idxs, c in self.keyed])
         return got
+
+    def at(self, point: Sequence[int]) -> _ByVar:
+        """`by_var` at a point: each E * c_I(point) as one term at the
+        constant monomial, which packs as 0 in every packing."""
+        return _by_var(len(point), [(idxs, [(0, _value(_cleared(c, self.E)[1], point))])
+                                    for idxs, c in self.keyed])
+
+    def lie(self, packing: _Packing) -> list:
+        """For each increasing key I that a Q_I of `_lie_derivative` can
+        reach: I, the partials of c_I, and the moves (I_b, k, sign, c_J)
+        with c_J nonzero, for J = I with I_b replaced by k and sign that
+        of the permutation sorting J (k moves from place b to place s)."""
+        got = self._lie.get(packing.w)
+        if got is None:
+            on = {idxs: _pack(packing, c, self.E)[1] for idxs, c in self.keyed}
+            got = self._lie[packing.w] = []
+            for I in itertools.combinations(range(packing.nvars), len(next(iter(on), ()))):
+                moves = []
+                for b, j in enumerate(I):
+                    for k in range(packing.nvars):
+                        c = (k == j or k not in I) and on.get(
+                            tuple(sorted(I[:b] + (k,) + I[b + 1:])))
+                        if c:
+                            s = sum(i < k for i in I) - (j < k)
+                            moves.append((j, k, -1 if (b - s) % 2 else 1, c))
+                c = on.get(I)
+                if c or moves:
+                    got.append((I, packing.partials(c) if c else {}, moves))
+        return got
+
+
+def _value(terms: Iterable[Tuple[Monomial, int]], point: Sequence[int]) -> int:
+    # an integer term list evaluated at an integer point
+    return sum(c * prod(map(pow, point, m)) for m, c in terms)
 
 
 # The bracket with its last n-1 arguments fixed is a derivation in the
 # first: {f, t_2..t_n} = sum_j df/dx_j * K_j.  Laplace expansion along
 # the first row gives K_j = sum over keys I containing j, at position p,
-# of (-1)^p * det(dt_a/dx_{I - j}) * c_I.
+# of (-1)^p * det(dt_a/dx_{I - j}) * c_I.  The kernel reads rows of
+# partials; a row of one-term lists at the constant monomial is a
+# gradient at a point, and the same code then gives a bracket's value
+# there.
 
-def _field_terms(coeffs: _Coeffs, rows: Sequence[_IntRow], packing: _Packing,
+def _field_terms(by_var: _ByVar, rows: Sequence[_IntRow],
                  need: Optional[Iterable[int]] = None) -> Dict[int, _PackedPoly]:
     """The nonzero K_j from the partial rows of the tail, as numerators
     over E times the tail's denominators; only for the variables in
@@ -209,18 +256,19 @@ def _field_terms(coeffs: _Coeffs, rows: Sequence[_IntRow], packing: _Packing,
     computed once.
     """
     masks = [_var_mask(row) for row in rows]
-    by_var = coeffs.by_var(packing)
     memo: Dict[Tuple[int, ...], _PackedPoly] = {}
     K = {}
-    for j in range(packing.nvars) if need is None else need:
+    for j in range(len(by_var)) if need is None else need:
         acc: Dict[int, int] = {}
-        for rest, rest_mask, coeff in by_var[j]:
+        for rest, rest_mask, sign, coeff in by_var[j]:
             for mask in masks:
                 if not mask & rest_mask:
                     break
             else:
                 minor = _int_det(rows, rest, memo) if rows else [(0, 1)]
                 if minor:
+                    if sign < 0:
+                        minor = [(m, -v) for m, v in minor]
                     _int_mul(minor, coeff, acc)
         entry = [(m, v) for m, v in acc.items() if v]
         if entry:
@@ -238,18 +286,18 @@ def _apply_terms(K: Dict[int, _PackedPoly], row: _IntRow) -> Dict[int, int]:
     return acc
 
 
+def _row_bracket(by_var: _ByVar, rows: Sequence[_IntRow]) -> Dict[int, int]:
+    """The bracket from its arguments' partial rows: the field of rows[1:],
+    in the variables rows[0] uses, applied to rows[0]; zero sums stay."""
+    return _apply_terms(_field_terms(by_var, rows[1:], rows[0]), rows[0])
+
+
 def _int_bracket(args: Sequence[_PackedValue], coeffs: _Coeffs,
                  packing: _Packing) -> _PackedValue:
-    """The bracket of packed values: the field of args[1:], formed only in
-    the variables args[0] uses, applied to args[0]."""
-    d, items = args[0]
-    tail = args[1:]
-    packing.check(packing.degree(items) + coeffs.degree
-                  + sum(packing.degree(t) for _, t in tail))
-    row = packing.partials(items)
-    K = _field_terms(coeffs, [packing.partials(t) for _, t in tail], packing, row)
-    acc = _apply_terms(K, row)
-    return (coeffs.E * d * prod(dt for dt, _ in tail),
+    """The bracket of packed values, over E times their denominators."""
+    packing.check(coeffs.degree + sum(packing.degree(t) for _, t in args))
+    acc = _row_bracket(coeffs.by_var(packing), [packing.partials(t) for _, t in args])
+    return (coeffs.E * prod(d for d, _ in args),
             [(m, v) for m, v in acc.items() if v])
 
 
@@ -343,36 +391,51 @@ def ternary_jacobian(bracket, a: Polynomial, b: Polynomial, c: Polynomial) -> Po
 
 # -- random inputs ------------------------------------------------------
 
-def _random_sparse(rng: random.Random, ctx: VarContext, draw_degree: Callable[[], int],
-                   coeff_bound: int, max_terms: int) -> Polynomial:
-    """Nonzero sparse polynomial; each term's degree comes from draw_degree().
+def _random_terms(rng: random.Random, nvars: int, degree: Optional[int] = None,
+                  max_degree: int = 3, coeff_bound: int = 9,
+                  max_terms: int = 4) -> Dict[Monomial, int]:
+    """Nonzero sparse integer terms, each of degree `degree`, or uniform
+    in 0..max_degree when it is None, with coefficients in
+    [-coeff_bound, coeff_bound] but 0; a repeated monomial keeps its
+    first one.  Each draw is the one rng.randint, randrange or choice
+    would make, by the rejection loop of Random._randbelow that they
+    share, so the stream and the state it leaves are theirs."""
+    bits = rng.getrandbits
 
-    Coefficients are drawn from [-coeff_bound, coeff_bound] excluding 0
-    and a repeated monomial keeps its first coefficient, so the result
-    is never zero and its terms are canonical as drawn.  Deterministic
-    given the rng state.
-    """
-    terms: Dict[Monomial, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mono = [0] * ctx.nvars
-        for _ in range(draw_degree()):
-            mono[rng.randrange(ctx.nvars)] += 1
-        c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
-        terms.setdefault(tuple(mono), Fraction(c))
-    return _raw(ctx, terms)
+    def below(n: int) -> int:  # rng.randrange(n)
+        if n <= 0:
+            raise ValueError(f"empty range for randrange({n})")
+        r = bits(n.bit_length())
+        while r >= n:
+            r = bits(n.bit_length())
+        return r
+
+    terms: Dict[Monomial, int] = {}
+    for _ in range(1 + below(max_terms)):
+        mono = [0] * nvars
+        for _ in range(below(max_degree + 1) if degree is None else degree):
+            mono[below(nvars)] += 1
+        c = 1 + below(coeff_bound)
+        terms.setdefault(tuple(mono), -c if below(2) else c)
+    return terms
+
+
+def _polys(ctx: VarContext, drawn: Iterable[Dict[Monomial, int]]) -> List[Polynomial]:
+    return [_raw(ctx, {m: Fraction(c) for m, c in terms.items()}) for terms in drawn]
 
 
 def random_polynomial(rng: random.Random, ctx: VarContext, max_degree: int = 3,
                       coeff_bound: int = 9, max_terms: int = 4) -> Polynomial:
     """Nonzero random polynomial, term degrees uniform in 0..max_degree."""
-    return _random_sparse(rng, ctx, lambda: rng.randint(0, max_degree),
-                          coeff_bound, max_terms)
+    return _polys(ctx, [_random_terms(rng, ctx.nvars, None, max_degree,
+                                      coeff_bound, max_terms)])[0]
 
 
 def random_homogeneous(rng: random.Random, ctx: VarContext, degree: int,
                        coeff_bound: int = 9, max_terms: int = 4) -> Polynomial:
     """Nonzero random homogeneous polynomial of exact total degree."""
-    return _random_sparse(rng, ctx, lambda: degree, coeff_bound, max_terms)
+    return _polys(ctx, [_random_terms(rng, ctx.nvars, degree, 0,
+                                      coeff_bound, max_terms)])[0]
 
 
 # -- identity checks ----------------------------------------------------
@@ -392,19 +455,12 @@ class IdentityReport:
         return self.failure_count == 0
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "arity": self.arity,
-            "trials": self.trials,
-            "failure_count": self.failure_count,
-            "failures": self.failures,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
-# One check: the defect (zero when the identity holds), the inputs it was
-# computed from, and a note for the failure record ("" for none).
-_Check = Tuple[Polynomial, Sequence[Polynomial], str]
+# One check: a value, falsy exactly when the check passes; a function
+# giving its failure record's (defect, inputs); a note ("" for none).
+_Check = Tuple[object, Callable[[], Tuple[Polynomial, Sequence[Polynomial]]], str]
 
 
 def _run_checks(identity: str, arity: int, generated: Iterable[_Check],
@@ -415,17 +471,18 @@ def _run_checks(identity: str, arity: int, generated: Iterable[_Check],
     Runs the deterministic `generated` checks, then `trials` seeded
     trials, each yielding the checks of draw(rng) for one shared
     random.Random(seed).  Every check counts as a trial of the report;
-    the first MAX_STORED_FAILURES nonzero defects are kept.
+    the first MAX_STORED_FAILURES failures get their record.
     """
     report = IdentityReport(identity, arity, 0, 0)
     rng = random.Random(seed)
     drawn = itertools.chain.from_iterable(draw(rng) for _ in range(trials))
-    for defect, inputs, note in itertools.chain(generated, drawn):
+    for value, witness, note in itertools.chain(generated, drawn):
         report.trials += 1
-        if defect.is_zero():
+        if not value:
             continue
         report.failure_count += 1
         if len(report.failures) < MAX_STORED_FAILURES:
+            defect, inputs = witness()
             entry = {"inputs": [str(p) for p in inputs], "defect": str(defect)}
             if note:
                 entry["note"] = note
@@ -433,227 +490,217 @@ def _run_checks(identity: str, arity: int, generated: Iterable[_Check],
     return report
 
 
-def _random_tuple(rng: random.Random, ctx: VarContext, k: int) -> Tuple[Polynomial, ...]:
-    return tuple(random_polynomial(rng, ctx) for _ in range(k))
+def _generator_rows(bracket) -> Tuple[_ByVar, List[_IntRow]]:
+    # the exact kernel table for brackets, and products of two brackets,
+    # of generators, and the generators' partial rows in every packing
+    coeffs, nvars = bracket._coeffs, bracket.ctx.nvars
+    return (coeffs.by_var(_packing(nvars, 2 * coeffs.degree)),
+            [{i: [(0, 1)]} for i in range(nvars)])
 
 
-# The verifiers evaluate each check on packed values, with one packing
-# for the check: brackets by `_int_bracket` or through shared fields,
-# sums and products by `_int_sum`.  No Fraction is built between nested
-# brackets or for a product of brackets, and no monomial is unpacked
-# until the defect, which has no terms when the identity holds.
+class _Point:
+    """The point p of a verifier call's random trials, from a
+    random.Random of its own seeded from the call's seed, and the
+    kernel's table there.  Values at p are integers: the inputs have
+    integer coefficients, and the terms of an identity share inputs and
+    bracket count, so their denominator, a power of E, is left out."""
 
-# A field (degree, denominator, K) is the derivation f -> {f, *tail} on
-# packed values, for f of total degree at most `degree`.
-_Field = Tuple[int, int, Dict[int, _PackedPoly]]
+    __slots__ = ("p", "by_var")
 
+    def __init__(self, bracket, seed: int) -> None:
+        rng = random.Random(f"point {seed}")
+        self.p = [rng.randrange(1, 1 << 32) for _ in range(bracket.ctx.nvars)]
+        self.by_var = bracket._coeffs.at(self.p)
 
-def _int_field(coeffs: _Coeffs, tail: Sequence[_PackedValue], packing: _Packing,
-               degree: int) -> _Field:
-    """The field of tail, for first arguments of degree at most `degree`."""
-    packing.check(degree + coeffs.degree
-                  + sum(packing.degree(items) for _, items in tail))
-    rows = [packing.partials(items) for _, items in tail]
-    return degree, coeffs.E * prod(d for d, _ in tail), _field_terms(coeffs, rows, packing)
+    def row(self, terms: Dict[Monomial, int]) -> _IntRow:
+        """The gradient at p of integer terms, as a kernel row."""
+        grad: Dict[int, int] = {}
+        for mono, c in terms.items():
+            t = c * prod(map(pow, self.p, mono))
+            for j, e in enumerate(mono):
+                if e:
+                    grad[j] = grad.get(j, 0) + e * t // self.p[j]
+        return {j: [(0, v)] for j, v in grad.items() if v}
 
-
-def _apply_field(field: _Field, value: _PackedValue, packing: _Packing) -> _PackedValue:
-    bound, denom, K = field
-    d, items = value
-    degree = packing.degree(items)
-    if degree > bound:
-        raise OverflowError(f"argument of degree {degree} for a field built for {bound}")
-    acc = _apply_terms(K, packing.partials(items))
-    return denom * d, [(m, v) for m, v in acc.items() if v]
-
-
-def _check_packing(bracket, inputs: Sequence[Polynomial]) -> Tuple[_Packing, List[_PackedValue]]:
-    """The packing of one check and its inputs on it.
-
-    Every value the verifiers form has degree at most twice the inputs'
-    plus three times the c_I's: brackets nest at most three deep
-    (Malcev), each adding the degree of the c_I, over inputs that enter
-    at most twice.  The packing checks the bound as it goes.
-    """
-    packing = _packing(bracket.ctx.nvars, 2 * sum(max(p.total_degree(), 0) for p in inputs)
-                       + 3 * bracket._coeffs.degree)
-    return packing, [_pack(packing, p.terms) for p in inputs]
-
-
-def _int_sum(terms: Sequence[Tuple[int, Sequence[_PackedValue]]],
-             packing: _Packing) -> _PackedValue:
-    """sum of sign * f_1 [* f_2] over (sign, factors) terms of one or two
-    factors each, over the lcm L of the terms' denominators.
-
-    Each term is scaled to L once, on its first factor, and a product
-    goes straight into the sum.
-    """
-    dens = [prod(d for d, _ in factors) for _, factors in terms]
-    top = lcm(*dens)
-    out: Dict[int, int] = {}
-    get = out.get
-    for (sign, factors), den in zip(terms, dens):
-        scale = sign * (top // den)
-        first = factors[0][1]
-        if scale != 1:
-            first = [(m, scale * v) for m, v in first]
-        if len(factors) == 2:
-            second = factors[1][1]
-            packing.check(packing.degree(first) + packing.degree(second))
-            _int_mul(first, second, out)
-        else:
-            for m, v in first:
-                out[m] = get(m, 0) + v
-    return top, [(m, v) for m, v in out.items() if v]
+    def bracket(self, rows: Sequence[_IntRow]) -> int:
+        return _row_bracket(self.by_var, rows).get(0, 0)
 
 
 def verify_skew(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
-    """Alternation: repeated arguments kill the bracket, transpositions flip sign."""
+    """Alternation: repeated arguments kill the bracket, transpositions flip sign.
+
+    A generator check passes when a bracket of generators with one
+    repeated is zero.  A random trial swaps two of n random arguments,
+    then repeats one; each check passes when its defect vanishes at the
+    call's point p (`_Point`), where the kernel itself computes it.
+    """
     n, ctx = bracket.arity, bracket.ctx
     gens = ctx.gens()
-    coeffs = bracket._coeffs
+    exact, unit = _generator_rows(bracket)
+    point = _Point(bracket, seed)
 
     def generated():
         # every duplication of an (n-1)-subset; none at arity 1
         for base in itertools.combinations(range(ctx.nvars), n - 1):
             for dup in base:
-                args = [gens[i] for i in base] + [gens[dup]]
-                packing, values = _check_packing(bracket, args)
-                yield (_polynomial(ctx, packing, _int_bracket(values, coeffs, packing)),
-                       args, "duplicate generator")
+                args = [gens[i] for i in base + (dup,)]
+                yield (any(_row_bracket(exact, [unit[i] for i in base + (dup,)]).values()),
+                       lambda args=args: (bracket(*args), args), "duplicate generator")
 
     def draw(rng):
-        fs = _random_tuple(rng, ctx, n)
+        fs = [_random_terms(rng, ctx.nvars) for _ in range(n)]
         if n < 2:
-            yield ctx.zero(), fs, "arity 1, nothing to swap"
+            yield 0, None, "arity 1, nothing to swap"
             return
         a, b = rng.sample(range(n), 2)
-        packing, values = _check_packing(bracket, fs)
-        swapped = list(values)
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        total = _int_sum([(1, (_int_bracket(values, coeffs, packing),)),
-                          (1, (_int_bracket(swapped, coeffs, packing),))], packing)
-        yield _polynomial(ctx, packing, total), fs, f"swap {a},{b}"
-        dup = list(fs)
-        dup[b] = dup[a]
-        values[b] = values[a]
-        yield (_polynomial(ctx, packing, _int_bracket(values, coeffs, packing)),
-               dup, "duplicate slot")
+
+        def witness(swap: bool):
+            args = _polys(ctx, fs)
+            other = list(args)
+            other[a], other[b] = args[b] if swap else args[a], args[a]
+            return (bracket(*args) + bracket(*other), args) if swap else (bracket(*other), other)
+
+        rows = [point.row(f) for f in fs]
+        swapped = list(rows)
+        swapped[a], swapped[b] = rows[b], rows[a]
+        yield (point.bracket(rows) + point.bracket(swapped), lambda: witness(True),
+               f"swap {a},{b}")
+        rows[b] = rows[a]
+        yield point.bracket(rows), lambda: witness(False), "duplicate slot"
 
     return _run_checks("skew", n, generated(), draw, trials, seed)
 
 
 def verify_leibniz(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
-    """Derivation in each slot: {..., g*h, ...} = g{...,h,...} + {...,g,...}h."""
+    """Derivation in each slot: {..., g*h, ...} = g{...,h,...} + {...,g,...}h.
+
+    Random trials only, each passing when its defect vanishes at the
+    call's point p (`_Point`); g*h is multiplied out.
+    """
     n, ctx = bracket.arity, bracket.ctx
-    coeffs = bracket._coeffs
+    point = _Point(bracket, seed)
 
     def draw(rng):
-        fs = list(_random_tuple(rng, ctx, n))
-        g = random_polynomial(rng, ctx)
-        h = random_polynomial(rng, ctx)
+        fs = [_random_terms(rng, ctx.nvars) for _ in range(n)]
+        g, h = _random_terms(rng, ctx.nvars), _random_terms(rng, ctx.nvars)
         slot = rng.randrange(n)
-        packing, values = _check_packing(bracket, [g, h] + fs)
-        ig, ih, args = values[0], values[1], values[2:]
 
-        def at_slot(value: _PackedValue) -> _PackedValue:
-            args[slot] = value
-            return _int_bracket(args, coeffs, packing)
+        def witness():
+            G, H, *args = _polys(ctx, [g, h] + fs)
 
-        total = _int_sum([(1, (at_slot(_int_sum([(1, (ig, ih))], packing)),)),
-                          (-1, (ig, at_slot(ih))),
-                          (-1, (at_slot(ig), ih))], packing)
-        yield _polynomial(ctx, packing, total), [g, h] + fs, f"slot {slot}"
+            def at(w: Polynomial) -> Polynomial:
+                return bracket(*args[:slot], w, *args[slot + 1:])
+
+            return at(G * H) - G * at(H) - at(G) * H, [G, H] + args
+
+        gh: Dict[Monomial, int] = {}
+        for mg, cg in g.items():
+            for mh, ch in h.items():
+                m = tuple(map(add, mg, mh))
+                gh[m] = gh.get(m, 0) + cg * ch
+        rows = [point.row(f) for f in fs]
+
+        def at_slot(terms: Dict[Monomial, int]) -> int:
+            rows[slot] = point.row(terms)
+            return point.bracket(rows)
+
+        value = (at_slot(gh) - _value(g.items(), point.p) * at_slot(h)
+                 - at_slot(g) * _value(h.items(), point.p))
+        yield value, witness, f"slot {slot}"
 
     return _run_checks("leibniz", n, (), draw, trials, seed)
 
 
-def _two_block_checks(identity: str, bracket, defect, nu: int, nv: int,
-                      trials: int, seed: int) -> IdentityReport:
-    """Checks of an identity in a u block of nu and a v block of nv arguments.
-
-    defect(bracket, packing, us, vs) takes and returns packed values.
-    The generator phase takes every increasing index tuple for each
-    block; each random trial draws the u block, then the v block.
+def _lie_derivative(coeffs: _Coeffs, packing: _Packing,
+                    vrows: Sequence[_IntRow]) -> Dict[Tuple[int, ...], _PackedPoly]:
+    """The nonzero Q_I of L_X P, for the bracket's n-vector field
+    P = sum_I c_I d_I and X = {., v_1..v_{n-1}}, from the vs' partial
+    rows; numerators over E^2 times their denominators.  With
+    P^J = sgn(J) c_sorted(J), zero on a repeated index,
+    Q_I = sum_k X^k d_k c_I - sum_b sum_k P^(I with I_b -> k) d_k X^(I_b).
+    The packing must hold twice the degree of the c_I plus the vs'.
     """
-    ctx = bracket.ctx
-    gens = ctx.gens()
-
-    def check(us, vs, note):
-        inputs = list(us) + list(vs)
-        packing, values = _check_packing(bracket, inputs)
-        value = defect(bracket, packing, values[:nu], values[nu:])
-        return _polynomial(ctx, packing, value), inputs, note
-
-    def generated():
-        for ui in itertools.combinations(range(ctx.nvars), nu):
-            for vi in itertools.combinations(range(ctx.nvars), nv):
-                yield check([gens[i] for i in ui], [gens[i] for i in vi],
-                            "generator tuple")
-
-    def draw(rng):
-        us = _random_tuple(rng, ctx, nu)
-        vs = _random_tuple(rng, ctx, nv)
-        yield check(us, vs, "")
-
-    return _run_checks(identity, bracket.arity, generated(), draw, trials, seed)
-
-
-def _first_degree(bracket, packing: _Packing, values: Sequence[_PackedValue]) -> int:
-    # bounds the degree of an input, or of a bracket of distinct inputs,
-    # which has at most the sum of their degrees and that of the c_I
-    return sum(packing.degree(items) for _, items in values) + bracket._coeffs.degree
-
-
-def _filippov_defect(bracket, packing, us, vs) -> _PackedValue:
-    # D = {., *vs} is a derivation of the bracket exactly when
-    # D{us} = sum_i {u_1..D u_i..u_n}, and {u_1..w..u_n} with w in slot i
-    # is (-1)^i {w, us without u_i}: one field for vs and one for each
-    # us without u_i serve every bracket of the check.
-    coeffs = bracket._coeffs
-    top = _first_degree(bracket, packing, list(us) + list(vs))
-    D = _int_field(coeffs, vs, packing, top)
-    minus = [_int_field(coeffs, us[:i] + us[i + 1:], packing, top) for i in range(len(us))]
-    inner = _apply_field(minus[0], us[0], packing)
-    terms = [(1, (_apply_field(D, inner, packing),))]
-    for i, u in enumerate(us):
-        w = _apply_field(D, u, packing)
-        terms.append((-1 if i % 2 == 0 else 1, (_apply_field(minus[i], w, packing),)))
-    return _int_sum(terms, packing)
+    X = _field_terms(coeffs.by_var(packing), vrows)
+    dX = {j: packing.partials(x) for j, x in X.items()}
+    Q = {}
+    for I, dc, moves in coeffs.lie(packing):
+        acc: Dict[int, int] = {}
+        for k, ck in dc.items():
+            if k in X:
+                _int_mul(X[k], ck, acc)
+        for j, k, sign, c in moves:
+            d = dX[j].get(k) if j in dX else None
+            if d:
+                _int_mul(c, [(m, -v) for m, v in d] if sign > 0 else d, acc)
+        q = [(m, v) for m, v in acc.items() if v]
+        if q:
+            Q[I] = q
+    return Q
 
 
 def verify_filippov(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Fundamental identity: [[u_1..u_n],v_..] = sum_i [u_1..[u_i,v_..]..u_n].
 
-    The generator phase over increasing index tuples is complete for the
-    degree-one part (the identity is multilinear and alternating in the
-    u block and in the v block); random trials probe the full algebra.
+    Exact in both phases: with X = {., v_1..v_{n-1}} the defect is
+    (L_X P)(du_1..du_n), the bracket of the us with coefficients Q_I
+    (`_lie_derivative`), zero for every u block when every Q_I is.  The
+    generator phase over increasing tuples of each block, with Q formed
+    once per v tuple, is complete for the degree-one part (the identity
+    is multilinear and alternating in each block); a random trial draws
+    the u block, then the v block.
     """
-    n = bracket.arity
-    return _two_block_checks("filippov", bracket, _filippov_defect, n, n - 1,
-                             trials, seed)
+    n, ctx = bracket.arity, bracket.ctx
+    nvars, coeffs = ctx.nvars, bracket._coeffs
+    gens, E2 = ctx.gens(), coeffs.E ** 2
+
+    def generated():
+        packing = _packing(nvars, 2 * coeffs.degree)
+        unit = _generator_rows(bracket)[1]
+        vtuples = list(itertools.combinations(range(nvars), n - 1))
+        by_v = [_lie_derivative(coeffs, packing, [unit[i] for i in vi]) for vi in vtuples]
+        for ui in itertools.combinations(range(nvars), n):
+            for vi, Q in zip(vtuples, by_v):
+                q = Q.get(ui)
+                yield (q, lambda q=q, idxs=ui + vi: (_polynomial(ctx, packing, (E2, q)),
+                                                     [gens[i] for i in idxs]),
+                       "generator tuple")
+
+    def draw(rng):
+        us = [_random_terms(rng, nvars) for _ in range(n)]
+        vs = [_random_terms(rng, nvars) for _ in range(n - 1)]
+        packing = _packing(nvars, sum(max(map(sum, t)) for t in us + vs)
+                           + 2 * coeffs.degree)
+        Q = _lie_derivative(coeffs, packing,
+                            [packing.partials(packing.pack(v.items())) for v in vs])
+        value = Q and _row_bracket(_by_var(nvars, Q.items()),
+                                   [packing.partials(packing.pack(u.items())) for u in us])
+        yield (value and any(value.values()),
+               lambda: (_polynomial(ctx, packing, (E2, list(value.items()))),
+                        _polys(ctx, us + vs)), "")
+
+    return _run_checks("filippov", n, generated(), draw, trials, seed)
 
 
-def _strong_defect(bracket, packing, us, vs) -> _PackedValue:
-    # sum_{i=1}^{n+1} (-1)^i {u_1..u_{n-1}, v_i} * {v_1,..,v_i-hat,..,v_{n+1}}
-    # {*us, v} = (-1)^(n-1) {v, *us}: one field for us; {rest} is the
-    # field of rest[1:] applied to rest[0], shared where rest[1:] agree.
-    coeffs = bracket._coeffs
-    top = _first_degree(bracket, packing, list(us) + list(vs))
-    by_us = _int_field(coeffs, us, packing, top)
-    tails: Dict[Tuple[int, ...], _Field] = {}
-    terms = []
-    for i, v in enumerate(vs):
-        rest = [j for j in range(len(vs)) if j != i]
+def _strong_sum(by_var: _ByVar, urows: Sequence[_IntRow],
+                vrows: Sequence[_IntRow]) -> Dict[int, int]:
+    """sum_i (-1)^i {us, v_i} {v_1..v_i-hat..v_{n+1}} from the partial rows
+    of us and vs, over E^2 times their denominators; zero sums stay.
+    {us, v} = (-1)^(n-1) {v, us}: one field for us; {rest} is the field
+    of rest[1:] applied to rest[0], shared where rest[1:] agree."""
+    by_us = _field_terms(by_var, urows)
+    tails: Dict[Tuple[int, ...], Dict[int, _PackedPoly]] = {}
+    out: Dict[int, int] = {}
+    for i, vrow in enumerate(vrows):
+        rest = [j for j in range(len(vrows)) if j != i]
         key = tuple(rest[1:])
-        field = tails.get(key)
-        if field is None:
-            field = tails[key] = _int_field(coeffs, [vs[j] for j in key], packing, top)
+        if key not in tails:
+            tails[key] = _field_terms(by_var, [vrows[j] for j in key])
+        first = _apply_terms(by_us, vrow).items()
         # (-1)^i with 1-based i is negative for even 0-based i
-        sign = (-1 if i % 2 == 0 else 1) * (-1 if len(us) % 2 else 1)
-        terms.append((sign, (_apply_field(by_us, v, packing),
-                             _apply_field(field, vs[rest[0]], packing))))
-    return _int_sum(terms, packing)
+        if (i % 2 == 0) != (len(urows) % 2 == 1):
+            first = [(m, -v) for m, v in first]
+        _int_mul(first, _apply_terms(tails[key], vrows[rest[0]]).items(), out)
+    return out
 
 
 def verify_strong(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
@@ -662,30 +709,78 @@ def verify_strong(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     With u = (u_1..u_{n-1}) and v = (v_1..v_{n+1}):
     sum_i (-1)^i {u, v_i} {v_1,..,v_i-hat,..,v_{n+1}} = 0.
 
-    Each slot of the sum is a derivation, so the generator phase over
-    increasing tuples is complete; random trials cross-check.
+    Each slot is a derivation, so the exact generator phase over
+    increasing tuples is complete.  A random trial draws the u block,
+    then the v block, and passes when the sum vanishes at the call's
+    point p (`_Point`).
     """
-    n = bracket.arity
-    return _two_block_checks("strong", bracket, _strong_defect, n - 1, n + 1,
-                             trials, seed)
+    n, ctx = bracket.arity, bracket.ctx
+    gens = ctx.gens()
+    exact, unit = _generator_rows(bracket)
+    point = _Point(bracket, seed)
+
+    def textbook(us: List[Polynomial], vs: List[Polynomial]):
+        total = ctx.zero()
+        for i, v in enumerate(vs):
+            term = bracket(*us, v) * bracket(*vs[:i], *vs[i + 1:])
+            total = total + term if i % 2 else total - term
+        return total, us + vs
+
+    def generated():
+        for ui in itertools.combinations(range(ctx.nvars), n - 1):
+            for vi in itertools.combinations(range(ctx.nvars), n + 1):
+                value = _strong_sum(exact, [unit[i] for i in ui], [unit[i] for i in vi])
+                yield (any(value.values()),
+                       lambda ui=ui, vi=vi: textbook([gens[i] for i in ui],
+                                                     [gens[i] for i in vi]),
+                       "generator tuple")
+
+    def draw(rng):
+        us = [_random_terms(rng, ctx.nvars) for _ in range(n - 1)]
+        vs = [_random_terms(rng, ctx.nvars) for _ in range(n + 1)]
+        value = _strong_sum(point.by_var, [point.row(u) for u in us],
+                            [point.row(v) for v in vs]).get(0, 0)
+        yield value, lambda: textbook(_polys(ctx, us), _polys(ctx, vs)), ""
+
+    return _run_checks("strong", n, generated(), draw, trials, seed)
+
+
+def _int_sum(terms: Iterable[Tuple[int, _PackedValue]]) -> _PackedValue:
+    # sum of sign * value over values with one denominator: the terms of
+    # an identity have the same inputs and the same number of brackets
+    out: Dict[int, int] = {}
+    for sign, (d, items) in terms:
+        for m, v in items:
+            out[m] = out.get(m, 0) + sign * v
+    return d, [(m, v) for m, v in out.items() if v]
 
 
 def verify_malcev(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Malcev identity [J(a,b,c),a] = J(a,b,[a,c]) for a binary bracket.
 
-    Checked on all generator triples and on random degree-one elements
-    (the identity is quadratic in a, so triples alone do not span it).
-    Brackets are memoized on their packed arguments for the one call:
-    the generator triples bracket the same few values over and over.
+    Checked exactly, on packed values, on all generator triples and on
+    random degree-one elements (the identity is quadratic in a, so
+    triples alone do not span it).  Brackets are memoized on their
+    packed arguments while a stays the same: the generator triples
+    bracket the same few values over and over.
     """
     if bracket.arity != 2:
         raise ArityMismatch("Malcev identity needs a binary bracket")
     ctx = bracket.ctx
     coeffs = bracket._coeffs
     memo: Dict[tuple, _PackedValue] = {}
+    held = None  # the a of the memo's brackets
 
     def check(abc, note):
-        packing, (a, b, c) = _check_packing(bracket, abc)
+        nonlocal held
+        if abc[0] is not held:
+            memo.clear()
+            held = abc[0]
+        # brackets nest three deep, each adding the degree of the c_I,
+        # over inputs that enter at most twice
+        packing = _packing(ctx.nvars, 2 * sum(max(p.total_degree(), 0) for p in abc)
+                           + 3 * coeffs.degree)
+        a, b, c = [_pack(packing, p.terms) for p in abc]
 
         def br(x: _PackedValue, y: _PackedValue) -> _PackedValue:
             key = (packing.w, x[0], tuple(x[1]), y[0], tuple(y[1]))
@@ -695,12 +790,12 @@ def verify_malcev(bracket, trials: int = 100, seed: int = 0) -> IdentityReport:
             return got
 
         def jacobiator(x, y, z):  # ternary_jacobian on packed values
-            return _int_sum([(1, (br(br(x, y), z),)), (-1, (br(br(x, z), y),)),
-                             (-1, (br(x, br(y, z)),))], packing)
+            return _int_sum([(1, br(br(x, y), z)), (-1, br(br(x, z), y)),
+                             (-1, br(x, br(y, z)))])
 
-        total = _int_sum([(1, (br(jacobiator(a, b, c), a),)),
-                          (-1, (jacobiator(a, b, br(a, c)),))], packing)
-        return _polynomial(ctx, packing, total), abc, note
+        total = _int_sum([(1, br(jacobiator(a, b, c), a)),
+                          (-1, jacobiator(a, b, br(a, c)))])
+        return total[1], lambda: (_polynomial(ctx, packing, total), abc), note
 
     generated = (check(abc, "generator triple")
                  for abc in itertools.product(ctx.gens(), repeat=3))

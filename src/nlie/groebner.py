@@ -343,12 +343,15 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
 
     Raises:
         ValueError: if any divisor is zero.
+        ContextMismatch: if a divisor is from another context.
         BudgetExhausted: if the step budget runs out.
     """
+    ctx = f.ctx
     for g in divisors:
+        if g.ctx is not ctx:
+            f._check_ctx(g)
         if g.is_zero():
             raise ValueError("zero divisor in division")
-    ctx = f.ctx
     # a dividend with a record at this order (an S-polynomial, a
     # remainder) is divided without first testing its terms one by one
     rec = f._packed

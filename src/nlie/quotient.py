@@ -132,7 +132,7 @@ class QuotientContext:
             for cls in self.grade_decompose(self.bracket_reduce(*fs)):
                 if cls.residue != predicted:
                     offending = offending + cls.part
-            yield offending, fs, f"predicted residue {predicted}"
+            yield offending, lambda: (offending, fs), f"predicted residue {predicted}"
 
         return _run_checks("grading", self.arity, (), draw, trials, seed)
 

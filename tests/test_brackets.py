@@ -15,8 +15,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlie.brackets as brackets
 from nlie.brackets import (VERIFIERS, ArityMismatch, JacobianBracket, TableBracket,
-                           _apply_field, _int_field, ternary_jacobian,
+                           _int_bracket, ternary_jacobian,
                            jacobian, poly_det, random_homogeneous,
                            random_polynomial, verify_filippov, verify_leibniz,
                            verify_malcev, verify_skew, verify_strong)
@@ -238,6 +239,92 @@ def test_verifiers_match_polynomial_arithmetic(identity, make):
         [(str(d), [str(p) for p in inputs]) for d, inputs in failures[:12]]
 
 
+@st.composite
+def table_brackets(draw):
+    """Table brackets in 3-5 variables at arity 2-4 whose values are
+    small linear forms, constants or zero."""
+    nvars = draw(st.integers(3, 5))
+    arity = draw(st.integers(2, min(4, nvars)))
+    ctx = _ctx(nvars)
+    monos = st.sampled_from([tuple(int(k == j) for k in range(nvars))
+                             for j in range(-1, nvars)])
+    values = st.dictionaries(monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    constants = {idxs: Polynomial(ctx, draw(values))
+                 for idxs in itertools.combinations(range(nvars), arity)
+                 if draw(st.integers(0, 3))}
+    return TableBracket(StructureTable(ctx, arity, constants))
+
+
+@settings(max_examples=30, deadline=None)
+@given(table_brackets(), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_filippov_matches_polynomial_arithmetic_on_random_tables(b, trials, seed):
+    # the Lie-derivative route against the identity in its textbook form
+    report = verify_filippov(b, trials=trials, seed=seed)
+    checks = _reference_defects("filippov", b, trials, seed)
+    failures = [(d, inputs) for d, inputs in checks if not d.is_zero()]
+    assert report.trials == len(checks)
+    assert report.failure_count == len(failures)
+    assert [(f["defect"], f["inputs"]) for f in report.failures] == \
+        [(str(d), [str(p) for p in inputs]) for d, inputs in failures[:12]]
+
+
+def test_point_trials_run_the_kernel(monkeypatch):
+    # drop the signs of the Laplace expansion along the first row: the
+    # bracket stops being alternating, and the random trials, which
+    # evaluate it at a point through the kernel, must see that
+    signed = brackets._by_var
+
+    def unsigned(nvars, keyed):
+        return tuple(tuple((rest, mask, 1, c) for rest, mask, _, c in entries)
+                     for entries in signed(nvars, keyed))
+
+    monkeypatch.setattr(brackets, "_by_var", unsigned)
+    for spec in (make_sl2(), make_quadric(3)):
+        report = verify_skew(spec.bracket, trials=10, seed=0)
+        notes = [f.get("note", "") for f in report.failures]
+        assert any(note.startswith("swap") for note in notes), spec.name
+        assert "duplicate slot" in notes, spec.name
+        # each record holds the exact defect, through the public bracket
+        swap = next(f for f in report.failures if f["note"].startswith("swap"))
+        assert swap["defect"] != "0"
+
+
+def _reference_draw(rng, ctx, degree, max_degree, coeff_bound, max_terms):
+    # the draws of random_polynomial and random_homogeneous, spelled out
+    # with the rng methods they have always used
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * ctx.nvars
+        for _ in range(rng.randint(0, max_degree) if degree is None else degree):
+            mono[rng.randrange(ctx.nvars)] += 1
+        c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+        terms.setdefault(tuple(mono), Fraction(c))
+    return Polynomial(ctx, terms)
+
+
+def test_random_draws_stay_pinned():
+    for seed in range(200):
+        params = random.Random(-seed)
+        ctx = _ctx(params.randint(1, 6))
+        bound = params.choice([1, 2, 3, 8, 9, 64, 1000, 2 ** 40 + 1])
+        max_terms = params.randint(1, 9)
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            if params.random() < 0.5:
+                max_degree = params.randint(0, 7)
+                p = random_polynomial(got, ctx, max_degree, bound, max_terms)
+                q = _reference_draw(want, ctx, None, max_degree, bound, max_terms)
+            else:
+                degree = params.randint(0, 5)
+                p = random_homogeneous(got, ctx, degree, bound, max_terms)
+                q = _reference_draw(want, ctx, degree, 0, bound, max_terms)
+            assert p == q and list(p.terms) == list(q.terms), seed
+            assert all(type(c) is Fraction for c in p.terms.values())
+            assert got.getstate() == want.getstate(), seed
+    with pytest.raises(ValueError):
+        random_polynomial(random.Random(0), _ctx(2), coeff_bound=0)
+
+
 def test_packing_refuses_a_degree_it_cannot_hold():
     packing = _packing(3, 5)  # 3 bits a field: total degrees up to 7
     packing.check(7)
@@ -245,12 +332,14 @@ def test_packing_refuses_a_degree_it_cannot_hold():
         packing.check(8)
     ctx = _ctx(3)
     x, y, z = ctx.gens()
-    b = JacobianBracket(x * y * z)
-    low = [(1, packing.pack(_cleared(p.terms)[1])) for p in (x, y)]
-    field = _int_field(b._coeffs, low[1:], packing, 1)
-    high = (1, packing.pack(_cleared((x * y).terms)[1]))
+    b = JacobianBracket(x * y * z)  # its c_I have degree 2
+
+    def packed(*ps):
+        return [(1, packing.pack(_cleared(p.terms)[1])) for p in ps]
+
+    _int_bracket(packed(x ** 3 * y, y), b._coeffs, packing)  # 4 + 1 + 2
     with pytest.raises(OverflowError):
-        _apply_field(field, high, packing)
+        _int_bracket(packed(x ** 3 * y ** 2, y), b._coeffs, packing)
 
 
 # -- property tests against independent references -------------------------

@@ -17,7 +17,7 @@ from nlie.groebner import (BudgetExhausted, DEFAULT_BUDGET, GREVLEX, LEX,
                            MonomialOrder, StepBudget, buchberger, divide,
                            mono_divides, mono_lcm, normal_form, spoly)
 from nlie.parser import parse_polynomial
-from nlie.poly import Polynomial, VarContext, context, grevlex_key
+from nlie.poly import ContextMismatch, Polynomial, VarContext, context, grevlex_key
 from nlie.brackets import random_polynomial
 
 XYZ = context("x", "y", "z")
@@ -122,6 +122,22 @@ def test_divide_identity_and_irreducibility():
 def test_normal_form_frozen():
     assert normal_form(pp("(x + y)^2"), [pp("x + y")]).is_zero()
     assert normal_form(pp("x^2"), [pp("x + y")]) == pp("y^2")
+
+
+def test_divisor_from_another_context_is_refused():
+    # the packing is built for the dividend's variables, so a divisor in
+    # more of them would lose one: z^3 would read as the constant 1 and
+    # the remainder would come out as x + 1
+    XY = context("x", "y")
+    f = pp("x^3*y + 1", XY)
+    g = pp("x^2*y - z^3")
+    for order in (GREVLEX, LEX):
+        with pytest.raises(ContextMismatch):
+            divide(f, [g], order)
+        with pytest.raises(ContextMismatch):
+            normal_form(f, [pp("x^2*y", XY), g], order)
+    # an equal context that is another object is the same context
+    assert normal_form(f, [pp("x^2*y - y", context("x", "y"))]) == pp("x*y + 1", XY)
 
 
 def test_spoly_cancels_leads():
