@@ -397,26 +397,13 @@ def _random_terms(rng: random.Random, nvars: int, degree: Optional[int] = None,
     """Nonzero sparse integer terms, each of degree `degree`, or uniform
     in 0..max_degree when it is None, with coefficients in
     [-coeff_bound, coeff_bound] but 0; a repeated monomial keeps its
-    first one.  Each draw is the one rng.randint, randrange or choice
-    would make, by the rejection loop of Random._randbelow that they
-    share, so the stream and the state it leaves are theirs."""
-    bits = rng.getrandbits
-
-    def below(n: int) -> int:  # rng.randrange(n)
-        if n <= 0:
-            raise ValueError(f"empty range for randrange({n})")
-        r = bits(n.bit_length())
-        while r >= n:
-            r = bits(n.bit_length())
-        return r
-
+    first one.  Deterministic given the rng state."""
     terms: Dict[Monomial, int] = {}
-    for _ in range(1 + below(max_terms)):
+    for _ in range(rng.randint(1, max_terms)):
         mono = [0] * nvars
-        for _ in range(below(max_degree + 1) if degree is None else degree):
-            mono[below(nvars)] += 1
-        c = 1 + below(coeff_bound)
-        terms.setdefault(tuple(mono), -c if below(2) else c)
+        for _ in range(rng.randint(0, max_degree) if degree is None else degree):
+            mono[rng.randrange(nvars)] += 1
+        terms.setdefault(tuple(mono), rng.randint(1, coeff_bound) * rng.choice((1, -1)))
     return terms
 
 
