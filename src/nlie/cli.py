@@ -205,8 +205,8 @@ def cmd_verify(ns) -> Report:
     verifier = brackets.VERIFIERS[ns.identity]
     report = verifier(bracket, trials=ns.trials, seed=ns.seed)
     if report.trials == 0:
-        raise UsageError(f"{ns.identity} on {label} made no checks; "
-                         "a verdict needs --trials of at least 1")
+        raise UsageError(f"{ns.identity} on {label} made no checks; a verdict needs "
+                         "--trials of at least 1, and skew an arity of at least 2")
     data = dict(report.to_dict(), algebra=label, seed=ns.seed)
     lines = [f"{_status(report.passed)} {ns.identity} on {label}: "
              f"{report.trials} checks, {report.failure_count} failures"]

@@ -558,6 +558,32 @@ def test_saturation_proper_stable_negative_control():
     assert one_round.verdict == "proper-stable"
 
 
+def test_saturation_tests_the_last_basis_for_one():
+    # the one round allowed brings 1 into the basis: that is a verdict,
+    # not a spent round budget
+    spec = make_quadric(4)
+    qctx = QuotientContext.create(spec.jacobian_bracket(), 2)
+    report = saturate_poisson_ideal(qctx, [spec.ctx.variable("x1")], max_rounds=1)
+    assert report.verdict == "whole-ring"
+    assert len(report.rounds) == 1
+    assert [str(p) for p in report.final_basis] == ["1"]
+
+
+@pytest.mark.parametrize("spec", [make_sl2(), make_quadric(2), make_quadric(3),
+                                  make_quadric(4)], ids=lambda s: s.name)
+@pytest.mark.parametrize("lam", [1, Fraction(-3, 2)], ids=["1", "-3/2"])
+def test_saturation_agrees_through_both_bracket_forms(spec, lam):
+    # the generator map is built from bracket calls, so a Jacobian and a
+    # table bracket of the same algebra must give the same reports
+    gens = spec.ctx.gens()
+    seeds = list(gens) + [gens[0] * gens[1] - 2 * gens[-1] + 1]
+    jacobian = QuotientContext.create(spec.jacobian_bracket(), lam)
+    table = QuotientContext.create(spec.table_bracket(), lam, casimir=spec.casimir)
+    for seed in seeds:
+        assert (saturate_poisson_ideal(jacobian, [seed]).to_dict()
+                == saturate_poisson_ideal(table, [seed]).to_dict())
+
+
 def test_saturation_budget_exhaustion_is_reported():
     spec, qctx = quadric_quotient()
     x1 = spec.ctx.variable("x1")

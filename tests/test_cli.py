@@ -105,11 +105,15 @@ def test_verify_pass_and_fail(capsys):
     assert code == 1 and "FAIL" in out  # same verdict in text mode
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_verify_without_checks_exits_2(capsys, trials):
-    # leibniz has no generator phase, so these runs would rest on 0 checks
-    code, out, err = run(capsys, "verify", "--algebra", "sl2",
-                         "--identity", "leibniz", "--trials", trials)
+@pytest.mark.parametrize("args", [
+    ("--algebra", "sl2", "--identity", "leibniz", "--trials", "0"),
+    ("--algebra", "sl2", "--identity", "leibniz", "--trials", "-3"),
+    ("--algebra", "quadric", "--arity", "1", "--identity", "skew"),
+], ids=["0", "-3", "skew-arity-1"])
+def test_verify_without_checks_exits_2(capsys, args):
+    # leibniz has no generator phase, so without trials these runs would
+    # rest on 0 checks; a unary bracket has nothing for skew to swap
+    code, out, err = run(capsys, "verify", *args)
     assert code == 2 and "PASS" not in out and "usage error" in err
 
 
