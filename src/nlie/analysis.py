@@ -40,13 +40,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .brackets import _Coeffs, poly_det
 from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
-from .poly import (_ONE, _ZERO, Polynomial, Scalar, VarContext, _int_mul,
-                   _int_pow, _pack, _Packing, _packing, _PackedPoly, _polynomial,
-                   _raw)
+from .poly import (_ONE, _ZERO, Monomial, Polynomial, Scalar, VarContext, _cleared,
+                   _int_mul, _int_pow, _pack, _Packing, _packing, _PackedPoly,
+                   _polynomial, _raw)
 from .quotient import QuotientContext
 
 
@@ -543,6 +543,32 @@ class CenterProbeReport:
 MAX_CENTER_COLUMNS = 500
 
 
+def _reduced_images(qctx: QuotientContext, packing: _Packing,
+                    images: Iterable[Tuple[int, tuple, Dict[int, int]]]
+                    ) -> Iterator[Tuple[int, tuple, Dict[Monomial, int]]]:
+    """Images (col, I, sums) of `_GeneratorBrackets.sums`, in integers
+    over one denominator, reduced modulo C - lambda: each distinct
+    monomial is reduced once, its normal form cleared to integers over
+    the lcm D of every form's denominator, and an image is the integer
+    combination of its monomials' forms, again over one denominator."""
+    images = list(images)
+    forms: Dict[int, Tuple[int, list]] = {}
+    for _, _, acc in images:
+        for out, v in acc.items():
+            if v and out not in forms:
+                x = _polynomial(qctx.casimir.ctx, packing, (1, [(out, 1)]))
+                forms[out] = _cleared(qctx.reduce(x).terms)
+    D = lcm(*[d for d, _ in forms.values()])
+    forms = {out: [(m, c * (D // d)) for m, c in items] for out, (d, items) in forms.items()}
+    for col, idxs, acc in images:
+        image: Dict[Monomial, int] = {}
+        for out, v in acc.items():
+            if v:
+                for m, c in forms[out]:
+                    image[m] = image.get(m, 0) + v * c
+        yield col, idxs, image
+
+
 def center_probe(bracket, max_degree: int,
                  qctx: Optional[QuotientContext] = None) -> CenterProbeReport:
     """Solve for all central elements of degree <= max_degree exactly.
@@ -553,7 +579,10 @@ def center_probe(bracket, max_degree: int,
     every increasing (n-1)-tuple I of generators is a rational linear
     system with one sparse row per (I, output monomial): the terms of
     each (reduced) image {x_I, m}, from one _GeneratorBrackets table,
-    land in column m.  Its nullspace is returned as polynomials.
+    land in column m.  Reduction is linear, so in quotient mode each
+    distinct output monomial is reduced once per probe and an image is
+    the sum of its monomials' normal forms.  Its nullspace is returned
+    as polynomials.
 
     Raises:
         BudgetExhausted: more than MAX_CENTER_COLUMNS unknowns, before
@@ -574,15 +603,14 @@ def center_probe(bracket, max_degree: int,
     # the images of every column share the denominator E, so a row
     # scaled by E, with integer entries, has the same nullspace
     rows: Dict[tuple, Dict[int, Scalar]] = {}
-    for col, mono in enumerate(monos):
-        for idxs, acc in brackets.sums(packing, packing.pack([(mono, 1)])):
-            if qctx is None:
-                items = acc.items()
-            else:
-                items = qctx.reduce(_polynomial(ctx, packing, (1, acc.items()))).terms.items()
-            for out, c in items:
-                if c:
-                    rows.setdefault((idxs, out), {})[col] = c
+    images = ((col, idxs, acc) for col, mono in enumerate(monos)
+              for idxs, acc in brackets.sums(packing, packing.pack([(mono, 1)])))
+    if qctx is not None:
+        images = _reduced_images(qctx, packing, images)
+    for col, idxs, acc in images:
+        for out, c in acc.items():
+            if c:
+                rows.setdefault((idxs, out), {})[col] = c
     system = list(rows.values())
     del rows  # frees the row keys, which the elimination does not read
     null = rational_nullspace(system, len(monos))

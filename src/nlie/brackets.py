@@ -211,16 +211,18 @@ class _Coeffs:
 
     def lie(self, packing: _Packing) -> list:
         """For each increasing key I that a Q_I of `_lie_derivative` can
-        reach: I, the partials of c_I, and the moves (I_b, k, sign, K_k),
-        K_k from the field of I - I_b (`fields`), with sign * K_k = P^J for
-        J = I with I_b replaced by k (x_k moves n-1-b places)."""
+        reach: I, the partials of c_I, and the moves (I_b, k, -P^J) for J =
+        I with I_b replaced by k: P^J = (-1)^(n-1-b) K_k (x_k moves n-1-b
+        places), K_k from the field of I - I_b (`fields`), so a call
+        negates nothing."""
         got = self._lie.get(packing.w)
         if got is None:
             on = {idxs: _pack(packing, c, self.E)[1] for idxs, c in self.keyed}
             n, fields = len(next(iter(on), ())), self.fields(packing)
             got = self._lie[packing.w] = []
             for I in itertools.combinations(range(packing.nvars), n):
-                moves = [(j, k, (-1) ** (n - 1 - b), c) for b, j in enumerate(I)
+                moves = [(j, k, c if (n - 1 - b) % 2 else [(m, -v) for m, v in c])
+                         for b, j in enumerate(I)
                          for k, c in fields.get(I[:b] + I[b + 1:], {}).items()]
                 c = on.get(I)
                 if c or moves:
@@ -623,10 +625,10 @@ def _lie_derivative(coeffs: _Coeffs, packing: _Packing,
         for k, ck in dc.items():
             if k in X:
                 _int_mul(X[k], ck, acc)
-        for j, k, sign, c in moves:
+        for j, k, c in moves:
             d = dX[j].get(k) if j in dX else None
             if d:
-                _int_mul(c, [(m, -v) for m, v in d] if sign > 0 else d, acc)
+                _int_mul(c, d, acc)
         q = [(m, v) for m, v in acc.items() if v]
         if q:
             Q[I] = q

@@ -18,15 +18,18 @@ in poly runs on its own: a polynomial is cleared once to integer
 numerators over its denominator and packed once per order and width,
 and the record is cached on it (`_record`), so a basis element used in
 every division is packed once.  The work terms are integer numerators
-over one common denominator, keyed by their packed monomials.  A
-Fraction is built only for a term a caller keeps: the remainder, with
-its content removed by one integer gcd, once per term, and quotient
-terms only when asked for; Buchberger's algorithm and every normal form
-ask for none.  The remainder keeps its record, and `monic` builds its
-result from that record and keeps a primitive one on it, so the next
-division packs nothing again.  A polynomial also keeps the leading
-monomial of the last order that asked, and Buchberger's pairs are keyed
-by the order once, when they are formed.
+over one common denominator, keyed by their packed monomials.
+
+An S-polynomial, a remainder (its content removed by one integer gcd)
+and a monic element made from a remainder's record are returned known
+by their record alone (`poly._recorded`): the next division reads the
+record, and a Fraction is built only when something reads `.terms`.
+Inside Buchberger's algorithm nothing does, so it builds no Fraction
+until it returns the basis, whose terms it builds before it drops the
+records.  Quotient terms are built only when asked for; Buchberger's
+algorithm and every normal form ask for none.  A polynomial also keeps
+the leading monomial of the last order that asked, and Buchberger's
+pairs are keyed by the order once, when they are formed.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from itertools import count
+from itertools import chain, count
 from operator import le, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, Polynomial, _MonomialPacking, _pack, _polynomial, _raw,
-                   grevlex_key)
+                   _recorded, grevlex_key)
 
 DEFAULT_BUDGET = 100_000
 
@@ -94,10 +97,11 @@ class _OrderPacking(_MonomialPacking):
     exponents, so x_j packs as units[j] and a product of monomials is one
     int addition while no field overflows; lead divides mono iff
     (mono - lead) & guards == 0, since the lowest exponent field that
-    borrows sets its guard.
+    borrows sets its guard.  Under grevlex the total degree is the top
+    field, from bit `top` on; lex has none (`top` is None).
     """
 
-    __slots__ = ("order", "w", "ones", "guards")
+    __slots__ = ("order", "w", "ones", "guards", "top")
 
     def __init__(self, order: "MonomialOrder", nvars: int, w: int) -> None:
         width = w + 1
@@ -105,9 +109,11 @@ class _OrderPacking(_MonomialPacking):
         rank = {j: nvars - 1 - i for i, j in enumerate(perm)}
         self.shifts = tuple(width * rank[j] for j in range(nvars))
         units = [1 << s for s in self.shifts]
+        self.top = None
         if order.kind == "grevlex":
+            self.top = width * (2 * nvars - 1)
             for j in range(nvars):
-                units[j] += 1 << width * (2 * nvars - 1)
+                units[j] += 1 << self.top
                 units[j] += sum(1 << width * (nvars - 1 + i)
                                 for i in range(1, nvars) if perm[i] != j)
         self.order = order
@@ -119,6 +125,16 @@ class _OrderPacking(_MonomialPacking):
 
     def monomial(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.units))
+
+    def degree(self, lead: int, tail: List[Tuple[int, int]]) -> int:
+        """The total degree of a packed polynomial with leading monomial
+        lead and other terms tail: the top field of lead under grevlex,
+        the largest sum of exponent fields under lex."""
+        if self.top is not None:
+            return lead >> self.top
+        mask, shifts = self.mask, self.shifts
+        return max(sum([(m >> s) & mask for s in shifts])
+                   for m in chain((lead,), [m for m, _ in tail]))
 
 
 @dataclass(frozen=True)
@@ -158,7 +174,7 @@ class MonomialOrder:
                              f"{p.ctx.nvars} variables of {p.ctx}")
         # p._lead caches the answer for the last order that asked
         cached = p._lead
-        if cached is not None and cached[0] is self:
+        if cached is not None and (cached[0] is self or cached[0] == self):
             return cached[1]
         m = max(p.terms, key=self.key)
         object.__setattr__(p, "_lead", (self, m))
@@ -174,10 +190,10 @@ class MonomialOrder:
     def monic(self, p: Polynomial) -> Polynomial:
         """p divided by its leading coefficient.
 
-        When p carries a packed record at this order, the result is built
-        from it: one gcd removes the content of the numerators, one
-        Fraction is built per term, and the result keeps that primitive
-        record and its leading monomial.  Otherwise it is p / lc(p).
+        When p carries a packed record at this order, the result is known
+        by a primitive record made from it, one gcd removing the content
+        of the numerators, and builds no Fraction until its terms are
+        read.  Otherwise it is p / lc(p).
         """
         if p.is_zero():
             return p
@@ -190,9 +206,7 @@ class MonomialOrder:
             h = -h
         L //= h
         tail = [(m, c // h) for m, c in tail]
-        q = _polynomial(p.ctx, packing, (L, [(lead, L), *tail]))
-        _keep(q, self, (packing, L, lead, L, tail, reach))
-        return q
+        return _recorded(p.ctx, (packing, L, lead, L, tail, reach))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -217,31 +231,26 @@ def _order_packing(order: MonomialOrder, nvars: int, w: int) -> _OrderPacking:
 # one packing, lead its leading monomial in the packing's order, d > 0,
 # and reach an upper bound on its exponents in every exponent field.  A
 # polynomial keeps the record of the last packing that asked (`_packed`).
+# A polynomial made from a record may have no terms yet, so code that
+# replaces or drops a record reads `.terms` first, which builds them.
 
-def _store(p: Polynomial, packing: _OrderPacking, d: int, items: List[Tuple[int, int]],
-           degree: int) -> tuple:
+def _make_record(packing: _OrderPacking, d: int, items: List[Tuple[int, int]],
+                 degree: int) -> tuple:
     # items is consumed: the lead is taken out of it and the rest kept
     lead, L = max(items)
     items.remove((lead, L))
-    rec = (packing, d, lead, L, items, degree * packing.ones)
-    object.__setattr__(p, "_packed", rec)
-    return rec
-
-
-def _keep(p: Polynomial, order: MonomialOrder, rec: tuple) -> None:
-    # p was built from rec with its lead term first: keep rec, and the
-    # lead monomial for order
-    object.__setattr__(p, "_packed", rec)
-    object.__setattr__(p, "_lead", (order, next(iter(p.terms))))
+    return packing, d, lead, L, items, degree * packing.ones
 
 
 def _record(p: Polynomial, packing: _OrderPacking) -> tuple:
     """The record of nonzero p at packing, cleared and packed only when p
-    has no record at that packing yet."""
+    has no record at that packing yet; reading p.terms builds them from
+    the record it replaces."""
     rec = p._packed
     if rec is None or rec[0] is not packing:
         d, items = _pack(packing, p.terms)
-        rec = _store(p, packing, d, items, p.total_degree())
+        rec = _make_record(packing, d, items, p.total_degree())
+        object.__setattr__(p, "_packed", rec)
     return rec
 
 
@@ -273,10 +282,10 @@ def _remainder(ctx, packing: _OrderPacking, terms: List[Tuple[int, int, int]],
     denominator dividing D.
 
     The numerators are brought to D and their common factor with D
-    removed by one gcd, which also makes the denominator positive, before
-    any Fraction is built.  The result keeps that record unless its
-    degree is past the packing's exponent bound, which a lex remainder
-    can reach.
+    removed by one gcd, which also makes the denominator positive.  The
+    result is known by that record (`poly._recorded`) unless its degree
+    is past the packing's exponent bound, which a lex remainder can
+    reach; then its terms are built and it keeps no record.
     """
     if not terms:
         return _raw(ctx, {})
@@ -294,12 +303,12 @@ def _remainder(ctx, packing: _OrderPacking, terms: List[Tuple[int, int, int]],
     if g != 1:
         D //= g
         items = [(m, a // g) for m, a in items]
-    r = _polynomial(ctx, packing, (D, items))
-    degree = r.total_degree()
-    if degree <= packing.mask:
-        lead, L = items[0]
-        _keep(r, packing.order, (packing, D, lead, L, items[1:], degree * packing.ones))
-    return r
+    lead, L = items[0]
+    tail = items[1:]
+    degree = packing.degree(lead, tail)
+    if degree > packing.mask:
+        return _polynomial(ctx, packing, (D, items))
+    return _recorded(ctx, (packing, D, lead, L, tail, degree * packing.ones))
 
 
 # -- division -----------------------------------------------------------
@@ -440,8 +449,9 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
     packed records f = (L_f * x^lm(f) + tail_f) / d_f and g alike, with
     h = gcd(L_f, L_g), the numerators are (L_g/h) * u * tail_f -
     (L_f/h) * v * tail_g over L_f * L_g / h: one integer multiplier per
-    tail and one addition per shifted monomial.  The result keeps them as
-    its record, so dividing it next packs nothing again.
+    tail and one addition per shifted monomial.  A nonzero result is
+    known by them as its record (`poly._recorded`), so dividing it next
+    packs nothing again and builds no Fraction.
     """
     f._check_ctx(g)
     mf, mg = order.leading_monomial(f), order.leading_monomial(g)
@@ -465,10 +475,9 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
         m += v
         work[m] = get(m, 0) - ag * c
     items = [t for t in work.items() if t[1]]
-    s = _polynomial(f.ctx, packing, (den, items))
-    if items:
-        _store(s, packing, den, items, degree)
-    return s
+    if not items:
+        return _raw(f.ctx, {})
+    return _recorded(f.ctx, _make_record(packing, den, items, degree))
 
 
 # -- Buchberger ---------------------------------------------------------
@@ -618,7 +627,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     reduced = _interreduce(_minimalize(basis, lms, order), order, budget)
     reduced.sort(key=lambda p: order.key(order.leading_monomial(p)))
     # the returned basis keeps no record: a record is as large as the
-    # terms, and a caller that divides by the basis packs it again once
+    # terms, and a caller that divides by the basis packs it again once;
+    # the terms are built from it before it goes
     for g in reduced:
+        g.terms
         object.__setattr__(g, "_packed", None)
     return GroebnerBasis(tuple(reduced), order)

@@ -127,6 +127,13 @@ class Polynomial:
     (order, leading monomial) pair of the last MonomialOrder that asked,
     and `_packed` the packed division record of nlie.groebner for the
     last order packing that asked; equality and hashing ignore them all.
+
+    A nonzero polynomial that nlie.groebner makes (an S-polynomial, a
+    remainder, a monic basis element) starts as a `_Recorded`, known by
+    its record alone: its `terms` are built when first read.  Polynomial
+    itself defines no `__getattr__`, which would put every attribute read
+    of every polynomial on a slower path, so `terms` stays a plain slot
+    read.  Code that replaces or drops a record builds the terms first.
     """
 
     __slots__ = ("ctx", "terms", "_hash", "_degree", "_lead", "_packed")
@@ -151,6 +158,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the terms, never from a record
+        return Polynomial, (self.ctx, self.terms)
 
     # -- predicates and basic data -------------------------------------
 
@@ -480,13 +491,19 @@ def _pack(packing: _Packing, terms: Mapping[Monomial, Fraction],
     return d, packing.pack(items)
 
 
+def _terms(packing: _MonomialPacking, value: _PackedValue) -> Dict[Monomial, Fraction]:
+    # the terms of sum(v/d * x^m) over a packed value (d, items) whose
+    # monomials are distinct, one Fraction per nonzero v
+    d, items = value
+    if d == 1:
+        return {m: Fraction(v) for m, v in packing.unpack(items)}
+    return {m: Fraction(v, d) for m, v in packing.unpack(items)}
+
+
 def _polynomial(ctx: VarContext, packing: _Packing, value: _PackedValue) -> Polynomial:
     """The polynomial sum(v/d * x^m) of a packed value (d, items); the
     monomials of items are distinct and the zero v are dropped."""
-    d, items = value
-    if d == 1:
-        return _raw(ctx, {m: Fraction(v) for m, v in packing.unpack(items)})
-    return _raw(ctx, {m: Fraction(v, d) for m, v in packing.unpack(items)})
+    return _raw(ctx, _terms(packing, value))
 
 
 def _int_mul(a: Iterable[Tuple[int, int]], b: Collection[Tuple[int, int]],
@@ -545,6 +562,48 @@ def _raw(ctx: VarContext, terms: Dict[Monomial, Fraction]) -> Polynomial:
     object.__setattr__(p, "_degree", None)
     object.__setattr__(p, "_lead", None)
     object.__setattr__(p, "_packed", None)
+    return p
+
+
+class _Recorded(Polynomial):
+    """A nonzero polynomial known by its packed record alone, its `terms`
+    slot unset.  `__getattr__`, which Python calls only for an unset
+    slot, builds the terms once, lead first, and turns the polynomial
+    into a plain Polynomial, whose attribute reads stay fast; until
+    then `is_zero`, `total_degree` and the leading monomial of the
+    record's order answer from the record.  Both classes have the same
+    slots, so the switch is allowed."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
+        packing, d, lead, L, tail, _ = self._packed
+        terms = _terms(packing, (d, [(lead, L), *tail]))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "__class__", Polynomial)
+        return terms
+
+    def is_zero(self) -> bool:
+        return False  # a record never belongs to the zero polynomial
+
+    def __bool__(self) -> bool:
+        return True
+
+
+def _recorded(ctx: VarContext, rec: tuple) -> Polynomial:
+    """Internal constructor for the nonzero polynomial of a packed record
+    (packing, d, lead, L, tail, reach) of nlie.groebner, with `terms`
+    left unset (`_Recorded`): its exact degree and, for the packing's
+    order, its leading monomial are read off the packed monomials."""
+    packing, _, lead, _, tail, _ = rec
+    p = _Recorded.__new__(_Recorded)
+    object.__setattr__(p, "ctx", ctx)
+    object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_degree", packing.degree(lead, tail))
+    object.__setattr__(p, "_lead", (packing.order, packing.unpack(((lead, 1),))[0][0]))
+    object.__setattr__(p, "_packed", rec)
     return p
 
 

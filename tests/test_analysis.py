@@ -1,5 +1,6 @@
 """Roots, closedness, rank tools, center probes and ideal saturation."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -323,6 +324,51 @@ def test_center_probe_quotient_is_constants():
     assert probe.mode == "quotient"
     assert probe.dimension == 1
     assert [str(p) for p in probe.basis] == ["1"]
+
+
+def reduce_each_image(bracket, max_degree, qctx):
+    """The quotient center probe with every image {x_I, m} reduced on its
+    own through the public bracket and QuotientContext.reduce."""
+    ctx = bracket.ctx
+    gens = ctx.gens()
+    lead = qctx.modulus.leading_monomials()
+    monos = [m for m in analysis._monomials_up_to(ctx, max_degree)
+             if not any(all(a <= b for a, b in zip(l, m)) for l in lead)]
+    rows = {}
+    for col, m in enumerate(monos):
+        for idxs in itertools.combinations(range(ctx.nvars), bracket.arity - 1):
+            image = qctx.reduce(bracket(*[gens[i] for i in idxs], Polynomial(ctx, {m: 1})))
+            for out, c in image.terms.items():
+                rows.setdefault((idxs, out), {})[col] = c
+    null = rational_nullspace(list(rows.values()), len(monos))
+    return tuple(Polynomial(ctx, dict(zip(monos, vec))) for vec in null)
+
+
+@pytest.mark.parametrize("bracket, degree, lam", [
+    (make_sl2().jacobian_bracket(), 3, Fraction(-3, 2)),
+    (make_elliptic(2).jacobian_bracket(), 3, 1),
+    (make_quadric(3).jacobian_bracket(), 3, 2),
+    (make_malcev_canonical().bracket, 2, Fraction(1, 2)),
+    # C = D^2 with D = x^2 + y^2/2 + 3z^2: D is central and not constant
+    # in the quotient, so the probe finds more than the constants
+    (JacobianBracket(pp("x^2 + 1/2*y^2 + 3*z^2") ** 2), 4, 9),
+    (JacobianBracket(pp("x*y - z^2") ** 3), 3, Fraction(-8, 27)),
+])
+def test_quotient_probe_reduces_each_monomial_once(bracket, degree, lam):
+    # reduction is linear, so reducing each output monomial once and
+    # combining gives the basis of reducing each image on its own
+    casimir = getattr(bracket, "casimir", None) or make_malcev_canonical().casimir
+    qctx = QuotientContext.create(bracket, lam, casimir)
+    probe = center_probe(bracket, degree, qctx)
+    assert probe.basis == reduce_each_image(bracket, degree, qctx)
+    assert all(all(type(c) is Fraction for c in p.terms.values()) for p in probe.basis)
+
+
+def test_probe_report_converts_to_a_dict():
+    # dataclasses.asdict deep-copies every polynomial of the report
+    probe = center_probe(make_sl2().bracket, 2)
+    data = dataclasses.asdict(probe)
+    assert data["basis"] == probe.basis and data["basis"][0] is not probe.basis[0]
 
 
 @pytest.mark.parametrize("make", [make_malcev_canonical, make_malcev_splittable])

@@ -480,6 +480,19 @@ def test_spoly_matches_fraction_formula(f, g, perm):
 
 # -- packed records ----------------------------------------------------------
 
+# The slot descriptor reads `terms` without falling back to __getattr__,
+# which would build them from the record.
+TERMS_SLOT = Polynomial.__dict__["terms"]
+
+
+def has_terms(p):
+    try:
+        TERMS_SLOT.__get__(p, Polynomial)
+    except AttributeError:
+        return False
+    return True
+
+
 def assert_record_exact(p):
     """p's cached record, if it has one, is exactly p: its lead is p's
     leading monomial in the record's order, its terms unpack to p.terms,
@@ -546,8 +559,9 @@ def test_records_are_exact(f, divisors, perm, k):
         s = spoly(divisors[0], divisors[-1], order)
         assert divide(s, divisors, order, quotients=False)[1] == divide(s, divisors, order)[1]
         gb = bounded_basis(divisors, order)
-        # the returned basis keeps no record until it is divided by
-        assert all(g._packed is None for g in gb)
+        # the returned basis has its terms and keeps no record until it
+        # is divided by
+        assert all(has_terms(g) and g._packed is None for g in gb)
         gb.reduce(f)
         for p in [f, r, bare, s, *divisors, *gb]:
             assert_record_exact(p)
@@ -558,3 +572,61 @@ def test_records_are_exact(f, divisors, perm, k):
             # a remainder's record is in lowest terms
             _, d, _, L, tail, _ = r._packed
             assert gcd(d, L, *[c for _, c in tail]) == 1
+
+
+# -- polynomials known by their record ------------------------------------------
+
+def assert_same_as_its_terms(p, order):
+    """p, returned known by its record, answers like the polynomial of
+    its terms; what the record answers is read before the terms exist."""
+    assert p._packed is not None and not has_terms(p)
+    got = (p.total_degree(), p.is_zero(), bool(p), order.leading_monomial(p))
+    assert not has_terms(p)
+    q = Polynomial(p.ctx, dict(p.terms))
+    # once built, the terms are a plain slot of a plain Polynomial
+    assert has_terms(p) and type(p) is Polynomial
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    assert got == (q.total_degree(), q.is_zero(), bool(q), order.leading_monomial(q))
+
+
+@NF_PROPERTY
+@given(_DIVIDEND.map(lambda t: Polynomial(XYZ, t)),
+       st.lists(_DIVISOR.map(lambda t: Polynomial(XYZ, t)), min_size=1, max_size=3),
+       st.permutations([0, 1, 2]).map(tuple))
+# under lex the S-polynomial, the remainder and its monic form are
+# x*z + z^5 up to scale, whose lead x*z is not of top degree
+@example(pp("x*y + z^5"), [pp("y - z")], (0, 1, 2))
+def test_record_backed_results_are_their_terms(f, divisors, perm):
+    for order, _, _ in orders(perm):
+        g = divisors[0]
+        s = spoly(f, g, order)
+        mf, cf = order.leading_term(f)
+        mg, cg = order.leading_term(g)
+        lcm = mono_lcm(mf, mg)
+        uf = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mf)): 1 / cf})
+        ug = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mg)): 1 / cg})
+        qs, r = divide(f, divisors, order)
+        bare = divide(f, divisors, order, quotients=False)[1]
+        made = [p for p in (s, r, bare) if not p.is_zero()]
+        monics = [order.monic(p) for p in made]
+        for p in made + monics:
+            # a lex remainder past the packing's degree bound keeps no record
+            if p._packed is not None:
+                assert_same_as_its_terms(p, order)
+        assert s == uf * f - ug * g
+        assert sum((q * d for q, d in zip(qs, divisors)), XYZ.zero()) + r == f
+        assert bare == r
+        for p, m in zip(made, monics):
+            assert m == p / order.leading_coefficient(p)
+            assert m.terms[order.leading_monomial(m)] == 1
+
+
+def test_returned_basis_has_terms_and_no_record():
+    x, y, z = XYZ.gens()
+    gens = [x * x + y * z - 1, x * y - z * z + Fraction(1, 2), y * y * z - x]
+    for order in (GREVLEX, LEX, MonomialOrder("grevlex", (2, 0, 1))):
+        gb = buchberger(gens, order)
+        assert len(gb) > 1
+        for g in gb:
+            assert has_terms(g) and g._packed is None and type(g) is Polynomial
+            assert all(type(c) is Fraction and c for c in TERMS_SLOT.__get__(g, Polynomial).values())

@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic, calculus and structure queries."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlie.groebner import GREVLEX, spoly
 from nlie.poly import ContextMismatch, Polynomial, VarContext, _cleared, context
 from nlie.brackets import random_polynomial
 
@@ -274,3 +277,24 @@ def test_cleared_form_is_least(pair):
     assert [m for m, _ in cleared] == list(terms)
     assert all(type(n) is int and Fraction(n, d) == terms[m] for m, n in cleared)
     assert gcd(d, *(n for _, n in cleared)) == 1
+
+
+def test_pickle_and_copy_round_trip():
+    ctx = context("x", "y", "z")
+    x, y, z = ctx.gens()
+    p = Fraction(3, 4) * x * x * y - 2 * z + 5
+    for q in (p, ctx.zero(), ctx.constant(Fraction(-7, 3))):
+        for back in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+            assert back == q and back.ctx == q.ctx and hash(back) == hash(q)
+            assert str(back) == str(q)
+
+
+def test_record_backed_polynomial_pickles_its_terms():
+    # a polynomial known by its packed record reduces to its terms, and
+    # the copy keeps no record
+    ctx = context("x", "y", "z")
+    x, y, z = ctx.gens()
+    s = spoly(x * x * y - Fraction(1, 3) * z, 2 * x * y * y + y, GREVLEX)
+    assert s._packed is not None
+    for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert back._packed is None and back == s and str(back) == str(s)
