@@ -28,8 +28,11 @@ Inside Buchberger's algorithm nothing does, so it builds no Fraction
 until it returns the basis, whose terms it builds before it drops the
 records.  Quotient terms are built only when asked for; Buchberger's
 algorithm and every normal form ask for none.  A polynomial also keeps
-the leading monomial of the last order that asked, and Buchberger's
-pairs are keyed by the order once, when they are formed.
+the leading monomial of the last order that asked.
+
+Buchberger's algorithm is signature-based (F5, in the rewrite-basis
+form; see `buchberger`): its reductions are `_divide` with a signature
+bound, so on a homogeneous regular sequence no S-pair reduces to zero.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from itertools import chain, count
-from operator import le, mul
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from itertools import chain
+from operator import add, le, mul, sub
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, Polynomial, _MonomialPacking, _pack, _polynomial, _raw,
                    _recorded, grevlex_key)
@@ -198,7 +202,7 @@ class MonomialOrder:
         if p.is_zero():
             return p
         rec = p._packed
-        if rec is None or rec[0].order != self:
+        if rec is None or rec[0].order is not self and rec[0].order != self:
             return p / self.leading_coefficient(p)
         packing, _, lead, L, tail, reach = rec
         h = gcd(L, *[c for _, c in tail])
@@ -263,7 +267,8 @@ def _packing_for(order: MonomialOrder, polys: Sequence[Polynomial],
     w = max(degree, 1).bit_length()
     for p in polys:
         rec = p._packed
-        if rec is not None and rec[0].order == order and rec[0].w > w:
+        if rec is not None and rec[0].w > w and (rec[0].order is order
+                                                 or rec[0].order == order):
             w = rec[0].w
     return _order_packing(order, polys[0].ctx.nvars, w)
 
@@ -364,28 +369,53 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     # a dividend with a record at this order (an S-polynomial, a
     # remainder) is divided without first testing its terms one by one
     rec = f._packed
-    if rec is None or rec[0].order != order:
+    if rec is None or rec[0].order is not order and rec[0].order != order:
         lms = [order.leading_monomial(g) for g in divisors]
         if not any(mono_divides(lm, m) for m in f.terms for lm in lms):
             return ([_raw(ctx, {}) for _ in divisors] if quotients else None), f
+    return _reduce(f, divisors, order, budget, quotients)
+
+
+Bound = Tuple[int, Monomial, List[Monomial]]
+
+
+def _reduce(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder,
+            budget: Optional[StepBudget], quotients: bool, bound: Optional[Bound] = None
+            ) -> Tuple[Optional[List[Polynomial]], Polynomial]:
+    """divide() past its checks; with a signature bound (see _divide) the
+    packing also holds the degrees of the signatures."""
     polys = [f, *divisors]
-    packing = _packing_for(order, polys, max(p.total_degree() for p in polys))
+    degree = max(p.total_degree() for p in polys)
+    if bound is not None:
+        degree = max(degree, sum(bound[1]), *map(sum, bound[2]))
+    packing = _packing_for(order, polys, degree)
     used = 0 if budget is None else budget.used
     while True:
-        done = _divide(f, divisors, packing, budget, quotients)
+        done = _divide(f, divisors, packing, budget, quotients, bound)
         if done is not None:
             return done
         if budget is not None:
             budget.used = used
-        packing = _order_packing(order, ctx.nvars, 2 * packing.w)
+        packing = _order_packing(order, f.ctx.nvars, 2 * packing.w)
 
 
 def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPacking,
-            budget: Optional[StepBudget], quotients: bool
+            budget: Optional[StepBudget], quotients: bool, bound: Optional[Bound]
             ) -> Optional[Tuple[Optional[List[Polynomial]], Polynomial]]:
-    # divide() at one packing; None as soon as an exponent would reach 2^w
+    # divide() at one packing; None as soon as an exponent would reach 2^w.
+    # A bound (free, sig, sigs) makes it a regular reduction of f, whose
+    # signature monomial is sig: divisors[free:] have signature monomials
+    # sigs of sig's index, and one is used at a term only when its shifted
+    # signature shift * s is below sig, that is, shift < sig - s packed
+    # (both hold their degrees, and a sum of two packed monomials carries
+    # into no field); divisors[:free] have lower indices and always are.
     recs = [_record(g, packing) for g in divisors]
     leads = [rec[2] for rec in recs]
+    free, limits = len(recs), ()
+    if bound is not None:
+        free, sig, sigs = bound
+        top = packing.monomial(sig)
+        limits = [top - packing.monomial(s) for s in sigs]
     rec = f._packed
     if rec is not None and rec[0] is packing:
         _, D, lead, L, tail, _ = rec
@@ -402,7 +432,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPackin
         a = work.pop(mono)
         for i, lead in enumerate(leads):
             shift = mono - lead
-            if shift & guards:
+            if shift & guards or i >= free and shift >= limits[i - free]:
                 continue
             _, d, _, L, tail, reach = recs[i]
             if (shift + reach) & guards:
@@ -482,56 +512,6 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 
 # -- Buchberger ---------------------------------------------------------
 
-# A pending pair is (order.key(lcm), insertion index, lcm, i, j), keyed
-# once when it is formed: min(pairs) is the first smallest lcm in
-# insertion order, and the index is unique, so a comparison never reaches
-# the lcm.
-Pair = Tuple[tuple, int, Monomial, int, int]
-
-
-def _update_pairs(basis: List[Polynomial], lms: List[Monomial], pairs: List[Pair],
-                  f: Polynomial, order: MonomialOrder, index: Iterator[int]) -> None:
-    """Gebauer-Moller pair update: append f to basis, prune and extend pairs.
-
-    Mutates basis, its leading monomials lms and pairs in place; index
-    numbers the new pairs.
-    """
-    lmf = order.leading_monomial(f)
-
-    kept = []
-    for pair in pairs:
-        _, _, lcm_ij, i, j = pair
-        if (not mono_divides(lmf, lcm_ij)
-                or mono_lcm(lms[i], lmf) == lcm_ij
-                or mono_lcm(lms[j], lmf) == lcm_ij):
-            kept.append(pair)
-    pairs[:] = kept
-
-    new_idx = len(basis)
-    key = order.key
-    # lcms with equal keys are equal, so ties sort by i, as they were formed
-    cand = sorted((key(lcm_m), i, lcm_m)
-                  for i, lcm_m in enumerate(mono_lcm(lm, lmf) for lm in lms))
-    minimal: List[Tuple[tuple, Monomial, List[int]]] = []
-    for k, i, lcm_m in cand:
-        for _, prev, members in minimal:
-            if prev == lcm_m:
-                members.append(i)
-                break
-            if mono_divides(prev, lcm_m):
-                break
-        else:
-            minimal.append((k, lcm_m, [i]))
-    for k, lcm_m, members in minimal:
-        # Buchberger's first criterion: skip classes containing a coprime pair.
-        if any(not any(map(min, lms[i], lmf)) for i in members):
-            continue
-        pairs.append((k, next(index), lcm_m, min(members), new_idx))
-
-    basis.append(f)
-    lms.append(lmf)
-
-
 def _minimalize(basis: List[Polynomial], lms: List[Monomial],
                 order: MonomialOrder) -> List[Polynomial]:
     out: List[Tuple[Monomial, Polynomial]] = []
@@ -588,9 +568,34 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                budget: Optional[StepBudget] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Pair management follows Gebauer-Moller; pair selection is the normal
-    strategy (smallest lcm in the order).  The step budget, defaulting to
-    DEFAULT_BUDGET, bounds single-term reductions across the whole run.
+    A signature-based algorithm: F5 (Faugere, ISSAC 2002) in the rewrite
+    basis (RB) form of Eder and Faugere's survey (J. Symbolic Comput.
+    2017), with the add order.  The nonzero gens f_1, f_2, ... are taken
+    in the order given.  An element g of index i is h_1 f_1 + ... +
+    h_i f_i with h_i != 0, and its signature is the leading monomial of
+    h_i; signatures compare by index, then by the order.  Index i starts
+    with f_i reduced by the elements of lower index, of signature 1, and
+    its S-pairs are reduced in increasing signature before index i+1
+    starts; a constant element ends the run.
+
+    An S-pair's signature is the larger of its halves' shifted
+    signatures, and the half that has it is the pair's generator; a pair
+    whose halves are equal is not formed.  Of the pairs of one signature
+    at most one is reduced, the one of the newest generator, and none
+    when the signature is divisible by a syzygy's of index i (the Koszul
+    syzygies lm(g) of every earlier element g, and every signature that
+    reduced to zero) or by the signature of an element added after the
+    generator.  The pair is reduced regularly (see _divide), and a
+    nonzero remainder is added under the pair's signature.  That keeps a
+    remainder whose lead only a divisor of equal shifted signature
+    divides: with the add order, dropping it can lose a pair the
+    element would have rewritten.  On a homogeneous regular sequence no
+    pair reduces to zero (Faugere's theorem), nor on the benchmark's
+    dense quadrics, cyclic-5 and katsura-5.  The elements of every index
+    are then minimalized and interreduced into the unique reduced basis.
+
+    The step budget, defaulting to DEFAULT_BUDGET, bounds single-term
+    reductions across the whole run.
 
     Raises:
         BudgetExhausted: when the budget runs out; no partial basis is
@@ -606,23 +611,58 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         if g.ctx != ctx:
             raise ValueError("generators from different contexts")
 
+    key = order.key
     basis: List[Polynomial] = []
     lms: List[Monomial] = []
-    pairs: List[Pair] = []
-    index = count()
-    for g in nonzero:
-        _, r = divide(g, basis, order, budget, quotients=False) if basis else (None, g)
-        if not r.is_zero():
-            _update_pairs(basis, lms, pairs, order.monic(r), order, index)
+    for f in nonzero:
+        if lms and not any(lms[-1]):
+            break  # a constant element: the ideal is the whole ring
+        # basis[start:] are the elements of this index and sigs their
+        # signatures; the leads of the earlier ones are the Koszul syzygies
+        start = len(basis)
+        koszul = lms[:]
+        sigs: List[Monomial] = []
+        zeros: List[Monomial] = []
+        # a pair is (key of its signature, -generator, other half, signature)
+        pairs: List[Tuple[tuple, int, int, Monomial]] = []
 
-    while pairs:
-        pair = min(pairs)
-        pairs.remove(pair)
-        _, _, _, i, j = pair
-        s = spoly(basis[i], basis[j], order)
-        _, r = divide(s, basis, order, budget, quotients=False)
+        def insert(g: Polynomial, sig: Monomial) -> None:
+            k = len(basis)
+            lm = order.leading_monomial(g)
+            for j, lmj in enumerate(lms):
+                l = mono_lcm(lmj, lm)
+                t = tuple(map(add, map(sub, l, lm), sig))
+                gen = k
+                if j >= start:
+                    tj = tuple(map(add, map(sub, l, lmj), sigs[j - start]))
+                    if tj == t:
+                        continue
+                    if key(tj) > key(t):
+                        t, gen = tj, j
+                if not any(all(map(le, z, t)) for z in koszul):
+                    heappush(pairs, (key(t), -gen, j + k - gen, t))
+            basis.append(g)
+            lms.append(lm)
+            sigs.append(sig)
+
+        r = divide(f, basis, order, budget, quotients=False)[1] if basis else f
         if not r.is_zero():
-            _update_pairs(basis, lms, pairs, order.monic(r), order, index)
+            insert(order.monic(r), (0,) * ctx.nvars)
+        while pairs and any(lms[-1]):
+            top, gen, j, sig = heappop(pairs)
+            while pairs and pairs[0][0] == top:
+                heappop(pairs)
+            gen = -gen
+            # the syzygy criterion, then the rewrite criterion
+            if any(all(map(le, z, sig)) for z in chain(zeros, sigs[gen - start + 1:])):
+                continue
+            s = spoly(basis[gen], basis[j], order)
+            if not s.is_zero():
+                s = _reduce(s, basis, order, budget, False, (start, sig, sigs))[1]
+            if s.is_zero():
+                zeros.append(sig)
+            else:
+                insert(order.monic(s), sig)
 
     reduced = _interreduce(_minimalize(basis, lms, order), order, budget)
     reduced.sort(key=lambda p: order.key(order.leading_monomial(p)))
