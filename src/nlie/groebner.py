@@ -595,7 +595,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     are then minimalized and interreduced into the unique reduced basis.
 
     The step budget, defaulting to DEFAULT_BUDGET, bounds single-term
-    reductions across the whole run.
+    eliminations across the whole run: each reduction step, and each
+    S-polynomial, which eliminates its pair's lcm term.
 
     Raises:
         BudgetExhausted: when the budget runs out; no partial basis is
@@ -656,6 +657,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             # the syzygy criterion, then the rewrite criterion
             if any(all(map(le, z, sig)) for z in chain(zeros, sigs[gen - start + 1:])):
                 continue
+            budget.spend()  # the S-polynomial eliminates the pair's lcm term
             s = spoly(basis[gen], basis[j], order)
             if not s.is_zero():
                 s = _reduce(s, basis, order, budget, False, (start, sig, sigs))[1]
