@@ -7,8 +7,8 @@ exact rationals.
 """
 
 from .poly import ContextMismatch, Polynomial, VarContext, context
-from .groebner import (GREVLEX, LEX, BudgetExhausted, GroebnerBasis,
-                       MonomialOrder, StepBudget, buchberger, normal_form, spoly)
+from .groebner import (GREVLEX, BudgetExhausted, GroebnerBasis, MonomialOrder,
+                       StepBudget, buchberger, normal_form, spoly)
 from .parser import ParseError, infer_context, parse_polynomial
 from .brackets import (ArityMismatch, IdentityReport, JacobianBracket,
                        TableBracket, jacobian, poly_det, random_homogeneous,

@@ -1,24 +1,25 @@
-"""Monomial orders, multivariate division and reduced Groebner bases.
+"""The grevlex monomial order, multivariate division and reduced
+Groebner bases.
 
-Everything here is deterministic: given the same generators and order,
-the same reduced basis comes back in the same sequence.  Long
-computations are metered by an explicit reduction-step budget and fail
-loudly with BudgetExhausted, never silently.
+Everything here is deterministic: given the same generators, the same
+reduced basis comes back in the same sequence.  Long computations are
+metered by an explicit reduction-step budget and fail loudly with
+BudgetExhausted, never silently.
 
-An order has two definitions of itself, both fixed by its kind and perm:
+The one monomial order is grevlex, and it has two definitions of itself:
 a sort key on exponent tuples (GREVLEX.key is poly.grevlex_key, the key
 `str()` prints terms by) and a packing of monomials into ints whose int
-order is the order (`_order_packing`, after Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007).  In a packed monomial a product is one addition
-and a divisibility test one subtraction.
+order is grevlex (`_order_packing`, the degree-graded layout of Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  In a packed monomial a product is one
+addition and a divisibility test one subtraction.
 
 Division and S-polynomials run on that packing, like the product kernel
 in poly runs on its own: a polynomial is cleared once to integer
-numerators over its denominator and packed once per order and width,
-and the record is cached on it (`_record`), so a basis element used in
-every division is packed once.  The work terms are integer numerators
-over one common denominator, keyed by their packed monomials.
+numerators over its denominator and packed once per width, and the
+record is cached on it (`_record`), so a basis element used in every
+division is packed once.  The work terms are integer numerators over one
+common denominator, keyed by their packed monomials.
 
 An S-polynomial, a remainder (its content removed by one integer gcd)
 and a monic element made from a remainder's record are returned known
@@ -28,7 +29,7 @@ Inside Buchberger's algorithm nothing does, so it builds no Fraction
 until it returns the basis, whose terms it builds before it drops the
 records.  Quotient terms are built only when asked for; Buchberger's
 algorithm and every normal form ask for none.  A polynomial also keeps
-the leading monomial of the last order that asked.
+its leading monomial once found.
 
 Buchberger's algorithm is signature-based (F5, in the rewrite-basis
 form; see `buchberger`): its reductions are `_divide` with a signature
@@ -37,17 +38,16 @@ bound, so on a homogeneous regular sequence no S-pair reduces to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from heapq import heappop, heappush
 from itertools import chain
 from operator import add, le, mul, sub
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .poly import (Monomial, Polynomial, _MonomialPacking, _pack, _polynomial, _raw,
-                   _recorded, grevlex_key)
+from .poly import Monomial, Polynomial, _MonomialPacking, _pack, _raw, _recorded, grevlex_key
 
 DEFAULT_BUDGET = 100_000
 
@@ -88,100 +88,65 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 
 class _OrderPacking(_MonomialPacking):
-    """Monomials in nvars variables packed into ints whose int order is a
-    monomial order, for exponents and total degrees below 2^w.
+    """Monomials in nvars variables packed into ints whose int order is
+    grevlex, for exponents and total degrees below 2^w.
 
     Every field is w+1 bits wide.  The low nvars fields hold the
-    exponents in perm order, the most significant variable highest, each
-    under a guard bit that is 0 while the exponent is below 2^w; for lex
-    that is the whole int.  Grevlex puts above them deg - e_j for every
-    variable but the most significant, the least significant highest,
-    and the total degree on top, so that among equal degrees the smaller
-    last exponent gives the larger int.  Every field is linear in the
-    exponents, so x_j packs as units[j] and a product of monomials is one
-    int addition while no field overflows; lead divides mono iff
+    exponents, x_0 highest, each under a guard bit that is 0 while the
+    exponent is below 2^w.  Above them sit deg - e_j for every variable
+    but x_0, the last variable highest, and the total degree on top,
+    from bit `top` on, so that among equal degrees the smaller last
+    exponent gives the larger int.  Every field is linear in the
+    exponents, so x_j packs as units[j] and a product of monomials is
+    one int addition while no field overflows; lead divides mono iff
     (mono - lead) & guards == 0, since the lowest exponent field that
-    borrows sets its guard.  Under grevlex the total degree is the top
-    field, from bit `top` on; lex has none (`top` is None).
+    borrows sets its guard.
     """
 
-    __slots__ = ("order", "w", "ones", "guards", "top")
+    __slots__ = ("w", "guards", "top")
 
-    def __init__(self, order: "MonomialOrder", nvars: int, w: int) -> None:
+    def __init__(self, nvars: int, w: int) -> None:
         width = w + 1
-        perm = range(nvars) if order.perm is None else order.perm
-        rank = {j: nvars - 1 - i for i, j in enumerate(perm)}
-        self.shifts = tuple(width * rank[j] for j in range(nvars))
-        units = [1 << s for s in self.shifts]
-        self.top = None
-        if order.kind == "grevlex":
-            self.top = width * (2 * nvars - 1)
-            for j in range(nvars):
-                units[j] += 1 << self.top
-                units[j] += sum(1 << width * (nvars - 1 + i)
-                                for i in range(1, nvars) if perm[i] != j)
-        self.order = order
+        self.shifts = tuple(width * (nvars - 1 - j) for j in range(nvars))
+        self.top = width * (2 * nvars - 1)
+        # x_j counts in its exponent field, in the degree on top and in
+        # deg - e_i for every i >= 1 but itself
+        self.units = tuple((1 << s) + (1 << self.top)
+                           + sum(1 << width * (nvars - 1 + i) for i in range(1, nvars) if i != j)
+                           for j, s in enumerate(self.shifts))
         self.w = w
-        self.units = tuple(units)
         self.mask = (1 << w) - 1
-        self.ones = sum(1 << s for s in self.shifts)
-        self.guards = self.ones << w
+        self.guards = sum(1 << s for s in self.shifts) << w
 
     def monomial(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.units))
 
-    def degree(self, lead: int, tail: List[Tuple[int, int]]) -> int:
+    def degree(self, lead: int) -> int:
         """The total degree of a packed polynomial with leading monomial
-        lead and other terms tail: the top field of lead under grevlex,
-        the largest sum of exponent fields under lex."""
-        if self.top is not None:
-            return lead >> self.top
-        mask, shifts = self.mask, self.shifts
-        return max(sum([(m >> s) & mask for s in shifts])
-                   for m in chain((lead,), [m for m, _ in tail]))
+        lead: its top field."""
+        return lead >> self.top
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: 'grevlex' (default) or 'lex'.
+    """The monomial order of this package: graded reverse lexicographic
+    (grevlex), total degree first, then the smaller last exponent wins.
 
-    `perm` optionally permutes variable significance: perm[0] is the most
-    significant variable index.  None means context order; otherwise it
-    must be a permutation of range(nvars) for the polynomials ordered.
-    `key(mono)`, larger for larger monomials, is chosen at construction;
-    `_order_packing(order, nvars, w)` packs monomials into ints in the
-    same order.
+    `key(mono)`, larger for larger monomials, is poly.grevlex_key, the
+    key `str()` prints terms by; `_order_packing(nvars, w)` packs
+    monomials into ints in the same order.
     """
 
-    kind: str = "grevlex"
-    perm: Optional[Tuple[int, ...]] = None
-    key: Callable[[Monomial], tuple] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        perm = self.perm
-        if perm is not None and sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"perm {perm} is not a permutation of 0..{len(perm) - 1}")
-        # lex compares the exponent tuples themselves
-        key = grevlex_key if self.kind == "grevlex" else tuple
-        if perm is not None:
-            unpermuted = key
-            key = lambda m: unpermuted(tuple(m[i] for i in perm))
-        object.__setattr__(self, "key", key)
+    key = staticmethod(grevlex_key)
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
         if p.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
-        if self.perm is not None and len(self.perm) != p.ctx.nvars:
-            raise ValueError(f"perm {self.perm} does not fit the "
-                             f"{p.ctx.nvars} variables of {p.ctx}")
-        # p._lead caches the answer for the last order that asked
-        cached = p._lead
-        if cached is not None and (cached[0] is self or cached[0] == self):
-            return cached[1]
-        m = max(p.terms, key=self.key)
-        object.__setattr__(p, "_lead", (self, m))
+        # p._lead caches the answer
+        m = p._lead
+        if m is None:
+            m = max(p.terms, key=grevlex_key)
+            object.__setattr__(p, "_lead", m)
         return m
 
     def leading_term(self, p: Polynomial) -> Tuple[Monomial, Fraction]:
@@ -194,56 +159,53 @@ class MonomialOrder:
     def monic(self, p: Polynomial) -> Polynomial:
         """p divided by its leading coefficient.
 
-        When p carries a packed record at this order, the result is known
-        by a primitive record made from it, one gcd removing the content
-        of the numerators, and builds no Fraction until its terms are
-        read.  Otherwise it is p / lc(p).
+        When p carries a packed record, the result is known by a
+        primitive record made from it, one gcd removing the content of
+        the numerators, and builds no Fraction until its terms are read.
+        Otherwise it is p / lc(p).
         """
         if p.is_zero():
             return p
         rec = p._packed
-        if rec is None or rec[0].order is not self and rec[0].order != self:
+        if rec is None:
             return p / self.leading_coefficient(p)
-        packing, _, lead, L, tail, reach = rec
+        packing, _, lead, L, tail = rec
         h = gcd(L, *[c for _, c in tail])
         if L < 0:
             h = -h
         L //= h
         tail = [(m, c // h) for m, c in tail]
-        return _recorded(p.ctx, (packing, L, lead, L, tail, reach))
+        return _recorded(p.ctx, (packing, L, lead, L, tail))
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+GREVLEX = MonomialOrder()
 
 
 @lru_cache(maxsize=1024)
-def _order_packing(order: MonomialOrder, nvars: int, w: int) -> _OrderPacking:
-    """The packing of order on nvars variables for exponents and degrees
-    below 2^w.
+def _order_packing(nvars: int, w: int) -> _OrderPacking:
+    """The packing of nvars variables for exponents and degrees below 2^w.
 
-    An _OrderPacking is never changed after construction, so equal
-    orders share one.
+    An _OrderPacking is never changed after construction, so calls share
+    one.
     """
-    return _OrderPacking(order, nvars, w)
+    return _OrderPacking(nvars, w)
 
 
 # -- packed records -----------------------------------------------------
 #
-# A record (packing, d, lead, L, tail, reach) is a nonzero polynomial
+# A record (packing, d, lead, L, tail) is a nonzero polynomial
 # (L * x^lead + sum(c * x^m for m, c in tail)) / d on the monomials of
-# one packing, lead its leading monomial in the packing's order, d > 0,
-# and reach an upper bound on its exponents in every exponent field.  A
-# polynomial keeps the record of the last packing that asked (`_packed`).
-# A polynomial made from a record may have no terms yet, so code that
-# replaces or drops a record reads `.terms` first, which builds them.
+# one packing, lead its leading monomial, d > 0, and its degree at most
+# the packing's mask.  A polynomial keeps the record of the last packing
+# that asked (`_packed`).  A polynomial made from a record may have no
+# terms yet, so code that replaces or drops a record reads `.terms`
+# first, which builds them.
 
-def _make_record(packing: _OrderPacking, d: int, items: List[Tuple[int, int]],
-                 degree: int) -> tuple:
+def _make_record(packing: _OrderPacking, d: int, items: List[Tuple[int, int]]) -> tuple:
     # items is consumed: the lead is taken out of it and the rest kept
     lead, L = max(items)
     items.remove((lead, L))
-    return packing, d, lead, L, items, degree * packing.ones
+    return packing, d, lead, L, items
 
 
 def _record(p: Polynomial, packing: _OrderPacking) -> tuple:
@@ -252,25 +214,22 @@ def _record(p: Polynomial, packing: _OrderPacking) -> tuple:
     the record it replaces."""
     rec = p._packed
     if rec is None or rec[0] is not packing:
-        d, items = _pack(packing, p.terms)
-        rec = _make_record(packing, d, items, p.total_degree())
+        rec = _make_record(packing, *_pack(packing, p.terms))
         object.__setattr__(p, "_packed", rec)
     return rec
 
 
-def _packing_for(order: MonomialOrder, polys: Sequence[Polynomial],
-                 degree: int) -> _OrderPacking:
-    """The packing of order for a call on polys whose exponents and
-    degrees stay at most degree: the narrowest that holds degree, or the
-    widest that one of polys already has a record at, so that widths only
-    grow and a basis used in every call is packed once per width."""
+def _packing_for(polys: Sequence[Polynomial], degree: int) -> _OrderPacking:
+    """The packing for a call on polys whose exponents and degrees stay
+    at most degree: the narrowest that holds degree, or the widest that
+    one of polys already has a record at, so that widths only grow and a
+    basis used in every call is packed once per width."""
     w = max(degree, 1).bit_length()
     for p in polys:
         rec = p._packed
-        if rec is not None and rec[0].w > w and (rec[0].order is order
-                                                 or rec[0].order == order):
+        if rec is not None and rec[0].w > w:
             w = rec[0].w
-    return _order_packing(order, polys[0].ctx.nvars, w)
+    return _order_packing(polys[0].ctx.nvars, w)
 
 
 def _fractions(ctx, packing: _OrderPacking, items) -> Polynomial:
@@ -288,9 +247,7 @@ def _remainder(ctx, packing: _OrderPacking, terms: List[Tuple[int, int, int]],
 
     The numerators are brought to D and their common factor with D
     removed by one gcd, which also makes the denominator positive.  The
-    result is known by that record (`poly._recorded`) unless its degree
-    is past the packing's exponent bound, which a lex remainder can
-    reach; then its terms are built and it keeps no record.
+    result is known by that record (`poly._recorded`).
     """
     if not terms:
         return _raw(ctx, {})
@@ -309,11 +266,7 @@ def _remainder(ctx, packing: _OrderPacking, terms: List[Tuple[int, int, int]],
         D //= g
         items = [(m, a // g) for m, a in items]
     lead, L = items[0]
-    tail = items[1:]
-    degree = packing.degree(lead, tail)
-    if degree > packing.mask:
-        return _polynomial(ctx, packing, (D, items))
-    return _recorded(ctx, (packing, D, lead, L, tail, degree * packing.ones))
+    return _recorded(ctx, (packing, D, lead, L, items[1:]))
 
 
 # -- division -----------------------------------------------------------
@@ -339,13 +292,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     and unpacked with one Fraction per term; it keeps that record (see
     `_remainder`).  Quotient terms, when asked for, are one Fraction each.
 
-    The packing holds every degree of f and of the divisors.  Under
-    grevlex no work term has a larger degree than the term it replaces,
-    so that is enough; under lex, x^k divided by x - y^5 reaches y^(5k).
-    So each elimination first checks, in the guard bits, that no shifted
-    tail exponent reaches the packing's bound; if one would, the
-    division is run again at twice the width, with the steps of the
-    abandoned run given back to the budget.
+    The packing holds every degree of f and of the divisors, and no work
+    term leaves it: grevlex is degree-compatible, so deg lead(g) = deg g
+    and each exponent of a shifted tail term is at most the degree of
+    the term it replaces.
 
     Args:
         f: dividend.
@@ -366,49 +316,36 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
             f._check_ctx(g)
         if g.is_zero():
             raise ValueError("zero divisor in division")
-    # a dividend with a record at this order (an S-polynomial, a
-    # remainder) is divided without first testing its terms one by one
-    rec = f._packed
-    if rec is None or rec[0].order is not order and rec[0].order != order:
+    # a dividend with a record (an S-polynomial, a remainder) is divided
+    # without first testing its terms one by one
+    if f._packed is None:
         lms = [order.leading_monomial(g) for g in divisors]
         if not any(mono_divides(lm, m) for m in f.terms for lm in lms):
             return ([_raw(ctx, {}) for _ in divisors] if quotients else None), f
-    return _reduce(f, divisors, order, budget, quotients)
+    return _divide(f, divisors, budget, quotients)
 
 
 Bound = Tuple[int, Monomial, List[Monomial]]
 
 
-def _reduce(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder,
-            budget: Optional[StepBudget], quotients: bool, bound: Optional[Bound] = None
+def _divide(f: Polynomial, divisors: Sequence[Polynomial], budget: Optional[StepBudget],
+            quotients: bool, bound: Optional[Bound] = None
             ) -> Tuple[Optional[List[Polynomial]], Polynomial]:
-    """divide() past its checks; with a signature bound (see _divide) the
-    packing also holds the degrees of the signatures."""
+    """divide() past its checks.
+
+    A bound (free, sig, sigs) makes it a regular reduction of f, whose
+    signature monomial is sig: divisors[free:] have signature monomials
+    sigs of sig's index, and one is used at a term only when its shifted
+    signature shift * s is below sig, that is, shift < sig - s packed
+    (the packing also holds their degrees, and a sum of two packed
+    monomials carries into no field); divisors[:free] have lower indices
+    and always are.
+    """
     polys = [f, *divisors]
     degree = max(p.total_degree() for p in polys)
     if bound is not None:
         degree = max(degree, sum(bound[1]), *map(sum, bound[2]))
-    packing = _packing_for(order, polys, degree)
-    used = 0 if budget is None else budget.used
-    while True:
-        done = _divide(f, divisors, packing, budget, quotients, bound)
-        if done is not None:
-            return done
-        if budget is not None:
-            budget.used = used
-        packing = _order_packing(order, f.ctx.nvars, 2 * packing.w)
-
-
-def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPacking,
-            budget: Optional[StepBudget], quotients: bool, bound: Optional[Bound]
-            ) -> Optional[Tuple[Optional[List[Polynomial]], Polynomial]]:
-    # divide() at one packing; None as soon as an exponent would reach 2^w.
-    # A bound (free, sig, sigs) makes it a regular reduction of f, whose
-    # signature monomial is sig: divisors[free:] have signature monomials
-    # sigs of sig's index, and one is used at a term only when its shifted
-    # signature shift * s is below sig, that is, shift < sig - s packed
-    # (both hold their degrees, and a sum of two packed monomials carries
-    # into no field); divisors[:free] have lower indices and always are.
+    packing = _packing_for(polys, degree)
     recs = [_record(g, packing) for g in divisors]
     leads = [rec[2] for rec in recs]
     free, limits = len(recs), ()
@@ -418,7 +355,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPackin
         limits = [top - packing.monomial(s) for s in sigs]
     rec = f._packed
     if rec is not None and rec[0] is packing:
-        _, D, lead, L, tail, _ = rec
+        _, D, lead, L, tail = rec
         work = dict(tail)
         work[lead] = L
     else:
@@ -434,9 +371,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPackin
             shift = mono - lead
             if shift & guards or i >= free and shift >= limits[i - free]:
                 continue
-            _, d, _, L, tail, reach = recs[i]
-            if (shift + reach) & guards:
-                return None
+            _, d, _, L, tail = recs[i]
             if budget is not None:
                 budget.spend()
             if qs is not None:
@@ -460,9 +395,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], packing: _OrderPackin
             remainder.append((mono, a, D))
     ctx = f.ctx
     r = _remainder(ctx, packing, remainder, D)
-    if qs is None:
-        return None, r
-    return [_fractions(ctx, packing, q) for q in qs], r
+    return (None if qs is None else [_fractions(ctx, packing, q) for q in qs]), r
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -486,11 +419,10 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
     f._check_ctx(g)
     mf, mg = order.leading_monomial(f), order.leading_monomial(g)
     l = mono_lcm(mf, mg)
-    dl = sum(l)
-    degree = max(dl - sum(mf) + f.total_degree(), dl - sum(mg) + g.total_degree())
-    packing = _packing_for(order, (f, g), degree)
-    _, _, lf, Lf, tail_f, _ = _record(f, packing)
-    _, _, lg, Lg, tail_g, _ = _record(g, packing)
+    # a shifted tail has at most the degree of its shifted lead, the lcm
+    packing = _packing_for((f, g), sum(l))
+    _, _, lf, Lf, tail_f = _record(f, packing)
+    _, _, lg, Lg, tail_g = _record(g, packing)
     h = gcd(Lf, Lg)
     af, ag = Lg // h, Lf // h
     den = Lf * af
@@ -507,7 +439,7 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
     items = [t for t in work.items() if t[1]]
     if not items:
         return _raw(f.ctx, {})
-    return _recorded(f.ctx, _make_record(packing, den, items, degree))
+    return _recorded(f.ctx, _make_record(packing, den, items))
 
 
 # -- Buchberger ---------------------------------------------------------
@@ -660,7 +592,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             budget.spend()  # the S-polynomial eliminates the pair's lcm term
             s = spoly(basis[gen], basis[j], order)
             if not s.is_zero():
-                s = _reduce(s, basis, order, budget, False, (start, sig, sigs))[1]
+                s = _divide(s, basis, budget, False, (start, sig, sigs))[1]
             if s.is_zero():
                 zeros.append(sig)
             else:

@@ -52,7 +52,7 @@ class VarContext:
     """An ordered tuple of distinct variable names.
 
     The order is semantic: it fixes the meaning of exponent tuples, the
-    default monomial order and the sign of Jacobian determinants.
+    grevlex monomial order and the sign of Jacobian determinants.
     """
 
     names: Tuple[str, ...]
@@ -124,9 +124,9 @@ class Polynomial:
     hashable and safe to use as dict keys or set members.
 
     `_hash` caches the hash, `_degree` the total degree, `_lead` the
-    (order, leading monomial) pair of the last MonomialOrder that asked,
-    and `_packed` the packed division record of nlie.groebner for the
-    last order packing that asked; equality and hashing ignore them all.
+    grevlex leading monomial once nlie.groebner asks for it, and
+    `_packed` the packed division record of nlie.groebner for the last
+    packing that asked; equality and hashing ignore them all.
 
     A nonzero polynomial that nlie.groebner makes (an S-polynomial, a
     remainder, a monic basis element) starts as a `_Recorded`, known by
@@ -570,16 +570,16 @@ class _Recorded(Polynomial):
     slot unset.  `__getattr__`, which Python calls only for an unset
     slot, builds the terms once, lead first, and turns the polynomial
     into a plain Polynomial, whose attribute reads stay fast; until
-    then `is_zero`, `total_degree` and the leading monomial of the
-    record's order answer from the record.  Both classes have the same
-    slots, so the switch is allowed."""
+    then `is_zero`, `total_degree` and the leading monomial answer from
+    the record.  Both classes have the same slots, so the switch is
+    allowed."""
 
     __slots__ = ()
 
     def __getattr__(self, name):
         if name != "terms":
             raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
-        packing, d, lead, L, tail, _ = self._packed
+        packing, d, lead, L, tail = self._packed
         terms = _terms(packing, (d, [(lead, L), *tail]))
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "__class__", Polynomial)
@@ -594,15 +594,15 @@ class _Recorded(Polynomial):
 
 def _recorded(ctx: VarContext, rec: tuple) -> Polynomial:
     """Internal constructor for the nonzero polynomial of a packed record
-    (packing, d, lead, L, tail, reach) of nlie.groebner, with `terms`
-    left unset (`_Recorded`): its exact degree and, for the packing's
-    order, its leading monomial are read off the packed monomials."""
-    packing, _, lead, _, tail, _ = rec
+    (packing, d, lead, L, tail) of nlie.groebner, with `terms` left unset
+    (`_Recorded`): its exact degree and its leading monomial are read
+    off the packed lead."""
+    packing, _, lead, _, _ = rec
     p = _Recorded.__new__(_Recorded)
     object.__setattr__(p, "ctx", ctx)
     object.__setattr__(p, "_hash", None)
-    object.__setattr__(p, "_degree", packing.degree(lead, tail))
-    object.__setattr__(p, "_lead", (packing.order, packing.unpack(((lead, 1),))[0][0]))
+    object.__setattr__(p, "_degree", packing.degree(lead))
+    object.__setattr__(p, "_lead", packing.unpack(((lead, 1),))[0][0])
     object.__setattr__(p, "_packed", rec)
     return p
 
