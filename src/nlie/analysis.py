@@ -42,11 +42,12 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .brackets import _Coeffs, poly_det
-from .groebner import GREVLEX, BudgetExhausted, StepBudget, buchberger, mono_divides
+from .brackets import _apply_terms, _Coeffs, poly_det
+from .groebner import (BudgetExhausted, StepBudget, buchberger, leading_monomial, monic,
+                       mono_divides)
 from .poly import (_ONE, _ZERO, Monomial, Polynomial, Scalar, VarContext, _cleared,
                    _int_mul, _int_pow, _pack, _Packing, _packing, _PackedPoly,
-                   _polynomial, _raw)
+                   _polynomial, _raw, grevlex_key)
 from .quotient import QuotientContext
 
 
@@ -372,7 +373,7 @@ def minimal_root_homogeneous(c_poly: Polynomial) -> MinimalRoot:
             root, alpha, k = res.root, alpha * res.alpha ** k, k * p
     if k > 1:
         return MinimalRoot(root, k, alpha, was_closed=False)
-    lc = GREVLEX.leading_coefficient(c_poly)
+    lc = c_poly.terms[leading_monomial(c_poly)]
     return MinimalRoot(c_poly / lc, 1, lc, was_closed=True)
 
 
@@ -456,13 +457,7 @@ class _GeneratorBrackets:
         fields = self.coeffs.fields(packing)
         grads = packing.partials(items)
         for idxs in self.tuples:
-            K = fields.get(idxs, {})
-            acc: Dict[int, int] = {}
-            for j, entry in grads.items():
-                kj = K.get(j)
-                if kj:
-                    _int_mul(entry, kj, acc)
-            yield idxs, acc
+            yield idxs, _apply_terms(fields.get(idxs, {}), grads)
 
     def __call__(self, f: Polynomial) -> Iterator[Tuple[Tuple[int, ...], Polynomial]]:
         """Yield (I, {x_I, f}) for every increasing (n-1)-tuple I."""
@@ -505,7 +500,7 @@ def center_membership(bracket, f: Polynomial,
 
 
 def _monomials_up_to(ctx: VarContext, max_degree: int) -> List[Tuple[int, ...]]:
-    """All monomials of degree <= max_degree, in increasing grevlex order.
+    """All monomials of degree <= max_degree, the grevlex-smallest first.
 
     Each is a multiset of max_degree symbols drawn from the variables and
     one slack symbol (index nvars) that stands for the unused degree.
@@ -513,7 +508,7 @@ def _monomials_up_to(ctx: VarContext, max_degree: int) -> List[Tuple[int, ...]]:
     n = ctx.nvars
     monos = [tuple(combo.count(i) for i in range(n))
              for combo in itertools.combinations_with_replacement(range(n + 1), max_degree)]
-    monos.sort(key=GREVLEX.key)
+    monos.sort(key=grevlex_key)
     return monos
 
 
@@ -676,23 +671,22 @@ def saturate_poisson_ideal(qctx: QuotientContext, seeds: Sequence[Polynomial],
 
     brackets = _GeneratorBrackets(bracket)
     budget = StepBudget(step_limit)
-    order = qctx.modulus.order
     report = SaturationReport(tuple(seeds), qctx.lam, "budget-exhausted")
     try:
-        basis = buchberger(list(seeds) + [qctx.casimir - qctx.lam], order, budget)
+        basis = buchberger(list(seeds) + [qctx.casimir - qctx.lam], budget=budget)
         while not basis.contains_one and len(report.rounds) < max_rounds:
             fresh: Dict[Polynomial, None] = {}  # the new normal forms, in order
             for g in basis.generators:
                 for _, val in brackets(g):
                     red = basis.reduce(val, budget)
                     if not red.is_zero():
-                        fresh[order.monic(red)] = None
+                        fresh[monic(red)] = None
             report.rounds.append({"basis_size": len(basis),
                                   "new_elements": len(fresh)})
             if not fresh:
                 report.verdict = "proper-stable"
                 break
-            basis = buchberger(list(basis.generators) + list(fresh), order, budget)
+            basis = buchberger(list(basis.generators) + list(fresh), budget=budget)
         if basis.contains_one:
             report.verdict = "whole-ring"
         report.final_basis = basis.generators

@@ -366,25 +366,15 @@ def cmd_saturate(ns) -> Report:
     return Report("saturate", True, EXIT_OK, data, lines)
 
 
-def _run_suite(command: str, items, seed: Optional[int]) -> Report:
-    results = suite.run_suite(items)
+def cmd_paper_suite(ns) -> Report:
+    results = suite.run_suite(suite.paper_suite_items(ns.seed))
     failed = sum(1 for r in results if not r.passed)
     data = {"total": len(results), "failed": failed,
-            "items": [r.to_dict() for r in results]}
-    if seed is not None:
-        data["seed"] = seed
+            "items": [r.to_dict() for r in results], "seed": ns.seed}
     lines = [f"{_status(r.passed)} {r.item_id:34s} {r.details}" for r in results]
     lines.append(f"{len(results) - failed}/{len(results)} items passed")
     ok = failed == 0
-    return Report(command, ok, EXIT_OK if ok else EXIT_FAIL, data, lines)
-
-
-def cmd_casimir_suite(ns) -> Report:
-    return _run_suite("casimir-suite", suite.items_casimir(), None)
-
-
-def cmd_paper_suite(ns) -> Report:
-    return _run_suite("paper-suite", suite.paper_suite_items(ns.seed), ns.seed)
+    return Report("paper-suite", ok, EXIT_OK if ok else EXIT_FAIL, data, lines)
 
 
 # -- parser ------------------------------------------------------------------
@@ -460,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=("any", "whole-ring", "proper-stable"),
                    default="any", help="fail (exit 1) unless this verdict")
     p.set_defaults(func=cmd_saturate)
-
-    p = with_json(sub.add_parser("casimir-suite",
-                                 help="centrality battery for built-in Casimirs"))
-    p.set_defaults(func=cmd_casimir_suite)
 
     p = with_json(sub.add_parser("paper-suite", help="full built-in check battery"))
     p.add_argument("--seed", type=int, default=0)

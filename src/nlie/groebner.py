@@ -6,13 +6,13 @@ reduced basis comes back in the same sequence.  Long computations are
 metered by an explicit reduction-step budget and fail loudly with
 BudgetExhausted, never silently.
 
-The one monomial order is grevlex, and it has two definitions of itself:
-a sort key on exponent tuples (GREVLEX.key is poly.grevlex_key, the key
-`str()` prints terms by) and a packing of monomials into ints whose int
-order is grevlex (`_order_packing`, the degree-graded layout of Monagan
-and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007).  In a packed monomial a product is one
-addition and a divisibility test one subtraction.
+The one monomial order is grevlex, and no object stands for it: leading
+monomials are the largest under poly.grevlex_key, the key `str()` prints
+terms by, and `_order_packing` packs monomials into ints whose int order
+is grevlex (the degree-graded layout of Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  In a packed monomial a product is one addition and a
+divisibility test one subtraction.
 
 Division and S-polynomials run on that packing, like the product kernel
 in poly runs on its own: a polynomial is cleared once to integer
@@ -127,58 +127,42 @@ class _OrderPacking(_MonomialPacking):
         return lead >> self.top
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """The monomial order of this package: graded reverse lexicographic
-    (grevlex), total degree first, then the smaller last exponent wins.
+def leading_monomial(p: Polynomial) -> Monomial:
+    """The grevlex-largest monomial of nonzero p, cached on p (`_lead`)."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading monomial")
+    m = p._lead
+    if m is None:
+        m = max(p.terms, key=grevlex_key)
+        object.__setattr__(p, "_lead", m)
+    return m
 
-    `key(mono)`, larger for larger monomials, is poly.grevlex_key, the
-    key `str()` prints terms by; `_order_packing(nvars, w)` packs
-    monomials into ints in the same order.
+
+def monic(p: Polynomial) -> Polynomial:
+    """p divided by its leading coefficient.
+
+    When p carries a packed record, the result is known by a primitive
+    record made from it, one gcd removing the content of the numerators,
+    and builds no Fraction until its terms are read.  Otherwise it is
+    p / lc(p).
     """
-
-    key = staticmethod(grevlex_key)
-
-    def leading_monomial(self, p: Polynomial) -> Monomial:
-        if p.is_zero():
-            raise ValueError("zero polynomial has no leading monomial")
-        # p._lead caches the answer
-        m = p._lead
-        if m is None:
-            m = max(p.terms, key=grevlex_key)
-            object.__setattr__(p, "_lead", m)
-        return m
-
-    def leading_term(self, p: Polynomial) -> Tuple[Monomial, Fraction]:
-        m = self.leading_monomial(p)
-        return m, p.terms[m]
-
-    def leading_coefficient(self, p: Polynomial) -> Fraction:
-        return self.leading_term(p)[1]
-
-    def monic(self, p: Polynomial) -> Polynomial:
-        """p divided by its leading coefficient.
-
-        When p carries a packed record, the result is known by a
-        primitive record made from it, one gcd removing the content of
-        the numerators, and builds no Fraction until its terms are read.
-        Otherwise it is p / lc(p).
-        """
-        if p.is_zero():
-            return p
-        rec = p._packed
-        if rec is None:
-            return p / self.leading_coefficient(p)
-        packing, _, lead, L, tail = rec
-        h = gcd(L, *[c for _, c in tail])
-        if L < 0:
-            h = -h
-        L //= h
-        tail = [(m, c // h) for m, c in tail]
-        return _recorded(p.ctx, (packing, L, lead, L, tail))
+    if p.is_zero():
+        return p
+    rec = p._packed
+    if rec is None:
+        return p / p.terms[leading_monomial(p)]
+    packing, _, lead, L, tail = rec
+    h = gcd(L, *[c for _, c in tail])
+    if L < 0:
+        h = -h
+    L //= h
+    tail = [(m, c // h) for m, c in tail]
+    return _recorded(p.ctx, (packing, L, lead, L, tail))
 
 
-GREVLEX = MonomialOrder()
+# buchberger's second positional argument, kept for callers that pass it;
+# grevlex is the only order
+GREVLEX = "grevlex"
 
 
 @lru_cache(maxsize=1024)
@@ -271,7 +255,7 @@ def _remainder(ctx, packing: _OrderPacking, terms: List[Tuple[int, int, int]],
 
 # -- division -----------------------------------------------------------
 
-def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
+def divide(f: Polynomial, divisors: Sequence[Polynomial],
            budget: Optional[StepBudget] = None, *,
            quotients: bool = True) -> Tuple[Optional[List[Polynomial]], Polynomial]:
     """Multivariate division of f by an ordered list of divisors.
@@ -280,7 +264,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     remainder monomial divisible by any divisor's leading monomial.
     With quotients=False it returns (None, r) and builds no quotient.
 
-    The reduction runs on the order's packing: each divisor's record
+    The reduction runs on the grevlex packing: each divisor's record
     (lead L, tail, over its denominator d) is cached on it, and the work
     is integer numerators over one common denominator D in a dict keyed
     by packed monomials, so the next term is max(work), a divisibility
@@ -300,7 +284,6 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     Args:
         f: dividend.
         divisors: nonzero divisors, tried in order at each step.
-        order: monomial order for leading terms.
         budget: optional shared step budget; each single-term elimination
             costs one step.
         quotients: build and return the quotients (keyword only).
@@ -319,7 +302,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder =
     # a dividend with a record (an S-polynomial, a remainder) is divided
     # without first testing its terms one by one
     if f._packed is None:
-        lms = [order.leading_monomial(g) for g in divisors]
+        lms = [leading_monomial(g) for g in divisors]
         if not any(mono_divides(lm, m) for m in f.terms for lm in lms):
             return ([_raw(ctx, {}) for _ in divisors] if quotients else None), f
     return _divide(f, divisors, budget, quotients)
@@ -398,13 +381,13 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], budget: Optional[Step
     return (None if qs is None else [_fractions(ctx, packing, q) for q in qs]), r
 
 
-def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
+def normal_form(f: Polynomial, divisors: Sequence[Polynomial],
                 budget: Optional[StepBudget] = None) -> Polynomial:
     """Remainder of f on division by divisors."""
-    return divide(f, divisors, order, budget, quotients=False)[1]
+    return divide(f, divisors, budget, quotients=False)[1]
 
 
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g: u*f/lc(f) - v*g/lc(g), where u*lm(f) and
     v*lm(g) are the lcm of the leading monomials.
 
@@ -417,7 +400,7 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
     packs nothing again and builds no Fraction.
     """
     f._check_ctx(g)
-    mf, mg = order.leading_monomial(f), order.leading_monomial(g)
+    mf, mg = leading_monomial(f), leading_monomial(g)
     l = mono_lcm(mf, mg)
     # a shifted tail has at most the degree of its shifted lead, the lcm
     packing = _packing_for((f, g), sum(l))
@@ -444,36 +427,32 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 
 # -- Buchberger ---------------------------------------------------------
 
-def _minimalize(basis: List[Polynomial], lms: List[Monomial],
-                order: MonomialOrder) -> List[Polynomial]:
+def _minimalize(basis: List[Polynomial], lms: List[Monomial]) -> List[Polynomial]:
     out: List[Tuple[Monomial, Polynomial]] = []
-    for lm, g in sorted(zip(lms, basis), key=lambda t: order.key(t[0])):
+    for lm, g in sorted(zip(lms, basis), key=lambda t: grevlex_key(t[0])):
         if not any(mono_divides(h, lm) for h, _ in out):
             out.append((lm, g))
     return [g for _, g in out]
 
 
-def _interreduce(basis: List[Polynomial], order: MonomialOrder,
-                 budget: Optional[StepBudget]) -> List[Polynomial]:
+def _interreduce(basis: List[Polynomial], budget: Optional[StepBudget]) -> List[Polynomial]:
     out: List[Polynomial] = []
     for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        _, r = divide(g, others, order, budget, quotients=False)
+        r = normal_form(g, basis[:i] + basis[i + 1:], budget)
         if not r.is_zero():
-            out.append(order.monic(r))
+            out.append(monic(r))
     return out
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its order.
+    """A reduced grevlex Groebner basis.
 
     Generators are monic, mutually reduced and sorted by increasing
-    leading monomial; this form is unique for the ideal and order.
+    leading monomial; this form is unique for the ideal.
     """
 
     generators: Tuple[Polynomial, ...]
-    order: MonomialOrder
 
     @property
     def contains_one(self) -> bool:
@@ -481,13 +460,13 @@ class GroebnerBasis:
 
     def reduce(self, f: Polynomial, budget: Optional[StepBudget] = None) -> Polynomial:
         """Unique normal form of f modulo the ideal."""
-        return normal_form(f, self.generators, self.order, budget)
+        return normal_form(f, self.generators, budget)
 
     def contains(self, f: Polynomial, budget: Optional[StepBudget] = None) -> bool:
         return self.reduce(f, budget).is_zero()
 
     def leading_monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(self.order.leading_monomial(g) for g in self.generators)
+        return tuple(map(leading_monomial, self.generators))
 
     def __iter__(self):
         return iter(self.generators)
@@ -496,16 +475,16 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
+def buchberger(gens: Sequence[Polynomial], order: str = GREVLEX,
                budget: Optional[StepBudget] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     A signature-based algorithm: F5 (Faugere, ISSAC 2002) in the rewrite
     basis (RB) form of Eder and Faugere's survey (J. Symbolic Comput.
-    2017), with the add order.  The nonzero gens f_1, f_2, ... are taken
-    in the order given.  An element g of index i is h_1 f_1 + ... +
-    h_i f_i with h_i != 0, and its signature is the leading monomial of
-    h_i; signatures compare by index, then by the order.  Index i starts
+    2017), with the add order: the nonzero gens f_1, f_2, ... are taken
+    as given.  An element g of index i is h_1 f_1 + ... + h_i f_i with
+    h_i != 0, and its signature is the leading monomial of h_i;
+    signatures compare by index, then by grevlex.  Index i starts
     with f_i reduced by the elements of lower index, of signature 1, and
     its S-pairs are reduced in increasing signature before index i+1
     starts; a constant element ends the run.
@@ -530,10 +509,17 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     eliminations across the whole run: each reduction step, and each
     S-polynomial, which eliminates its pair's lcm term.
 
+    The order must be GREVLEX, the only one; the parameter is kept for
+    callers that pass it positionally before the budget.
+
     Raises:
+        ValueError: for an order other than GREVLEX, no nonzero
+            generator, or generators from different contexts.
         BudgetExhausted: when the budget runs out; no partial basis is
             returned.
     """
+    if order != GREVLEX:
+        raise ValueError(f"unknown monomial order {order!r}; grevlex is the only one")
     if budget is None:
         budget = StepBudget(DEFAULT_BUDGET)
     nonzero = [g for g in gens if not g.is_zero()]
@@ -544,7 +530,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         if g.ctx != ctx:
             raise ValueError("generators from different contexts")
 
-    key = order.key
+    key = grevlex_key
     basis: List[Polynomial] = []
     lms: List[Monomial] = []
     for f in nonzero:
@@ -561,7 +547,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
 
         def insert(g: Polynomial, sig: Monomial) -> None:
             k = len(basis)
-            lm = order.leading_monomial(g)
+            lm = leading_monomial(g)
             for j, lmj in enumerate(lms):
                 l = mono_lcm(lmj, lm)
                 t = tuple(map(add, map(sub, l, lm), sig))
@@ -578,9 +564,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             lms.append(lm)
             sigs.append(sig)
 
-        r = divide(f, basis, order, budget, quotients=False)[1] if basis else f
+        r = normal_form(f, basis, budget) if basis else f
         if not r.is_zero():
-            insert(order.monic(r), (0,) * ctx.nvars)
+            insert(monic(r), (0,) * ctx.nvars)
         while pairs and any(lms[-1]):
             top, gen, j, sig = heappop(pairs)
             while pairs and pairs[0][0] == top:
@@ -590,20 +576,20 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             if any(all(map(le, z, sig)) for z in chain(zeros, sigs[gen - start + 1:])):
                 continue
             budget.spend()  # the S-polynomial eliminates the pair's lcm term
-            s = spoly(basis[gen], basis[j], order)
+            s = spoly(basis[gen], basis[j])
             if not s.is_zero():
                 s = _divide(s, basis, budget, False, (start, sig, sigs))[1]
             if s.is_zero():
                 zeros.append(sig)
             else:
-                insert(order.monic(s), sig)
+                insert(monic(s), sig)
 
-    reduced = _interreduce(_minimalize(basis, lms, order), order, budget)
-    reduced.sort(key=lambda p: order.key(order.leading_monomial(p)))
+    reduced = _interreduce(_minimalize(basis, lms), budget)
+    reduced.sort(key=lambda p: key(leading_monomial(p)))
     # the returned basis keeps no record: a record is as large as the
     # terms, and a caller that divides by the basis packs it again once;
     # the terms are built from it before it goes
     for g in reduced:
         g.terms
         object.__setattr__(g, "_packed", None)
-    return GroebnerBasis(tuple(reduced), order)
+    return GroebnerBasis(tuple(reduced))

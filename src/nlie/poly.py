@@ -87,7 +87,7 @@ class VarContext:
         return _raw(self, {mono: _ONE})
 
     def gens(self) -> Tuple["Polynomial", ...]:
-        """All context variables as polynomials, in context order."""
+        """All context variables as polynomials, x_0 first."""
         return tuple(self.variable(i) for i in range(self.nvars))
 
     def zero(self) -> "Polynomial":
@@ -112,8 +112,9 @@ def context(*names: str) -> VarContext:
 
 
 def grevlex_key(mono: Monomial) -> tuple:
-    """Grevlex key, also GREVLEX.key: total degree first, then the rightmost
-    differing exponent, smaller winning.  Larger key, larger monomial."""
+    """Grevlex key, the package's one monomial order: total degree first,
+    then the rightmost differing exponent, smaller winning.  Larger key,
+    larger monomial."""
     return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
@@ -322,7 +323,7 @@ class Polynomial:
         return result
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Evaluate at a rational point given in context order.
+        """Evaluate at a rational point, one coordinate per context variable.
 
         With the coefficients cleared to integers over d, the point written
         as integers over q and D = max(deg, 0), d * q^D * f(point) is a sum
@@ -363,7 +364,7 @@ class Polynomial:
     # -- term access ------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
-        """Terms in descending grevlex order."""
+        """Terms, the grevlex-largest first."""
         for mono in sorted(self.terms, key=grevlex_key, reverse=True):
             yield mono, self.terms[mono]
 

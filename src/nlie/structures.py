@@ -69,7 +69,7 @@ class StructureTable:
         self.constants = clean
 
     def entry(self, idxs: Sequence[int]) -> Polynomial:
-        """Product of the generators at `idxs`, in the given slot order."""
+        """Product of the generators at `idxs`, in slot order as given."""
         idxs = tuple(idxs)
         if len(idxs) != self.arity:
             raise ValueError(f"expected {self.arity} indices, got {len(idxs)}")

@@ -1,4 +1,4 @@
-"""Built-in check batteries behind the casimir-suite and paper-suite commands.
+"""The built-in check battery behind the paper-suite command.
 
 Every item is a named, seeded, self-contained check returning pass/fail
 plus a details line.  The frozen bracket tables below were derived by

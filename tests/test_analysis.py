@@ -19,7 +19,6 @@ from nlie.analysis import (NotHomogeneous, center_membership,
                            minimal_root_homogeneous, rational_nullspace,
                            saturate_poisson_ideal)
 from nlie.brackets import JacobianBracket, random_homogeneous, random_polynomial
-from nlie.groebner import GREVLEX
 from nlie.parser import parse_polynomial
 from nlie.poly import Polynomial, VarContext, context
 from nlie.quotient import QuotientContext

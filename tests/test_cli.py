@@ -320,11 +320,6 @@ def test_saturate_multiple_seeds(capsys):
     assert code == 0 and len(doc["data"]["seeds"]) == 2
 
 
-def test_casimir_suite(capsys):
-    code, doc = run_json(capsys, "casimir-suite")
-    assert code == 0 and doc["data"]["failed"] == 0
-
-
 def test_no_color_when_not_a_tty(capsys):
     _, out, _ = run(capsys, "verify", "--algebra", "sl2",
                     "--identity", "skew", "--trials", "5")

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlie import groebner
-from nlie.groebner import (BudgetExhausted, DEFAULT_BUDGET, GREVLEX, MonomialOrder,
-                           StepBudget, buchberger, divide, mono_divides, mono_lcm,
+from nlie.groebner import (BudgetExhausted, DEFAULT_BUDGET, GREVLEX, StepBudget, buchberger,
+                           divide, leading_monomial, monic, mono_divides, mono_lcm,
                            normal_form, spoly)
 from nlie.parser import parse_polynomial
 from nlie.poly import ContextMismatch, Polynomial, VarContext, context, grevlex_key
@@ -55,44 +55,40 @@ def test_mono_helpers():
 def test_grevlex_leading_terms():
     ef_h = context("e", "f", "h")
     casimir = pp("1/2*h^2 + 2*e*f", ef_h)
-    assert GREVLEX.leading_monomial(casimir) == (1, 1, 0)
-    assert GREVLEX.leading_coefficient(casimir) == 2
+    assert leading_monomial(casimir) == (1, 1, 0)
+    assert casimir.terms[leading_monomial(casimir)] == 2
     # same degree: the monomial with the smaller last exponent leads
     p = pp("x*z + y^2")
-    assert GREVLEX.leading_monomial(p) == (0, 2, 0)
-    # grevlex is the key str() prints by
-    assert GREVLEX.key is grevlex_key
+    assert leading_monomial(p) == (0, 2, 0)
 
 
 def test_order_permutation():
     # relabelled by (2, 1, 0), grevlex ranks z most significant, which
     # flips the tie it breaks on the last exponent
     q = pp("x^2*y + y^2*z")
-    assert GREVLEX.leading_monomial(q) == (2, 1, 0)
+    assert leading_monomial(q) == (2, 1, 0)
     flipped = relabel(q, (2, 1, 0))
     assert flipped == pp("z^2*y + y^2*x")
-    assert GREVLEX.leading_monomial(flipped) == (1, 2, 0)
+    assert leading_monomial(flipped) == (1, 2, 0)
 
 
 def test_leading_monomial_cache_follows_the_order():
-    # a polynomial keeps its leading monomial once asked; every
-    # MonomialOrder is grevlex and reads it
+    # a polynomial keeps its leading monomial once asked
     p, q = pp("x*z + y^2"), pp("x*z + y^2")
     assert p._lead is None
-    for order in (GREVLEX, MonomialOrder(), GREVLEX):
-        assert order.leading_monomial(p) == (0, 2, 0)
+    for _ in range(2):
+        assert leading_monomial(p) == (0, 2, 0)
         assert p._lead == (0, 2, 0)
-    assert MonomialOrder() == GREVLEX
     with pytest.raises(ValueError, match="no leading monomial"):
-        GREVLEX.leading_monomial(XYZ.zero())
+        leading_monomial(XYZ.zero())
     # equality and hashing ignore the cache
     assert p == q and hash(p) == hash(q)
 
 
 def test_monic():
     p = pp("2*x^2 + 4*y")
-    assert GREVLEX.monic(p) == pp("x^2 + 2*y")
-    assert GREVLEX.monic(XYZ.zero()).is_zero()
+    assert monic(p) == pp("x^2 + 2*y")
+    assert monic(XYZ.zero()).is_zero()
 
 
 def test_divide_identity_and_irreducibility():
@@ -101,9 +97,9 @@ def test_divide_identity_and_irreducibility():
         f = random_polynomial(rng, XYZ, max_degree=4, max_terms=6)
         gs = [random_polynomial(rng, XYZ, max_degree=2, max_terms=3)
               for _ in range(2)]
-        qs, r = divide(f, gs, GREVLEX)
+        qs, r = divide(f, gs)
         assert sum((q * g for q, g in zip(qs, gs)), XYZ.zero()) + r == f
-        lead = [GREVLEX.leading_monomial(g) for g in gs]
+        lead = [leading_monomial(g) for g in gs]
         for mono in r.terms:
             assert not any(mono_divides(lm, mono) for lm in lead)
 
@@ -130,9 +126,9 @@ def test_divisor_from_another_context_is_refused():
 
 def test_spoly_cancels_leads():
     f, g = pp("x^2 + y"), pp("x*y + z")
-    s = spoly(f, g, GREVLEX)
-    lcm = mono_lcm(GREVLEX.leading_monomial(f), GREVLEX.leading_monomial(g))
-    assert GREVLEX.key(GREVLEX.leading_monomial(s)) < GREVLEX.key(lcm)
+    s = spoly(f, g)
+    lcm = mono_lcm(leading_monomial(f), leading_monomial(g))
+    assert grevlex_key(leading_monomial(s)) < grevlex_key(lcm)
 
 
 def sympy_reduced_gb(polys, order, names="x y z"):
@@ -142,17 +138,19 @@ def sympy_reduced_gb(polys, order, names="x y z"):
     return {sympy.expand(e) for e in gb.exprs}
 
 
+# order is a variable order each input also runs under (`relabellings`);
+# order_name is the order sympy is asked for
 @pytest.mark.parametrize("gens,order,order_name", [
-    (["x^2 + y", "x*y - 1"], GREVLEX, "grevlex"),
-    (["y^2 + x", "x*y - 1"], GREVLEX, "grevlex"),
-    (["x - y", "y^2 - 1"], GREVLEX, "grevlex"),
-    (["x*y - z^2", "y*z - x^2", "x*z - y^2"], GREVLEX, "grevlex"),
-    (["x + y + z", "x*y + y*z + x*z", "x*y*z - 1"], GREVLEX, "grevlex"),
+    (["x^2 + y", "x*y - 1"], (2, 1, 0), "grevlex"),
+    (["y^2 + x", "x*y - 1"], (2, 0, 1), "grevlex"),
+    (["x - y", "y^2 - 1"], (1, 0, 2), "grevlex"),
+    (["x*y - z^2", "y*z - x^2", "x*z - y^2"], (1, 2, 0), "grevlex"),
+    (["x + y + z", "x*y + y*z + x*z", "x*y*z - 1"], (2, 1, 0), "grevlex"),
 ])
 def test_buchberger_against_sympy(gens, order, order_name):
-    ours = buchberger([pp(s) for s in gens], order)
-    assert {to_sympy(g) for g in ours} == \
-        sympy_reduced_gb([pp(s) for s in gens], order_name)
+    for labels in relabellings(order):
+        polys = [relabel(pp(s), labels) for s in gens]
+        assert {to_sympy(g) for g in buchberger(polys)} == sympy_reduced_gb(polys, order_name)
 
 
 def test_buchberger_against_sympy_random():
@@ -160,34 +158,33 @@ def test_buchberger_against_sympy_random():
     for _ in range(6):
         gens = [random_polynomial(rng, XYZ, max_degree=2, max_terms=3)
                 for _ in range(2)]
-        ours = buchberger(gens, GREVLEX)
+        ours = buchberger(gens)
         assert {to_sympy(g) for g in ours} == sympy_reduced_gb(gens, "grevlex")
 
 
 def test_reduced_basis_is_order_independent():
     gens = [pp(s) for s in ("x^2 + y", "x*y - 1", "y^2 - x")]
-    reference = buchberger(gens, GREVLEX).generators
+    reference = buchberger(gens).generators
     rng = random.Random(41)
     for _ in range(5):
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert buchberger(shuffled, GREVLEX).generators == reference
+        assert buchberger(shuffled).generators == reference
 
 
 def test_spolys_reduce_to_zero():
-    gb = buchberger([pp("x*y - z^2"), pp("y*z - x^2")], GREVLEX)
+    gb = buchberger([pp("x*y - z^2"), pp("y*z - x^2")])
     gens = list(gb)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            assert normal_form(spoly(gens[i], gens[j], GREVLEX),
-                               gens, GREVLEX).is_zero()
+            assert normal_form(spoly(gens[i], gens[j]), gens).is_zero()
 
 
 def test_membership_and_unit_ideal():
-    gb = buchberger([pp("x + y")], GREVLEX)
+    gb = buchberger([pp("x + y")])
     assert gb.contains(pp("(x + y)^3"))
     assert not gb.contains(pp("x"))
-    unit = buchberger([pp("x"), pp("1 - x")], GREVLEX)
+    unit = buchberger([pp("x"), pp("1 - x")])
     assert unit.contains_one
     assert list(unit) == [XYZ.one()]
 
@@ -196,14 +193,14 @@ def test_budget_exhaustion():
     budget = StepBudget(3)
     f = pp("(x + y + z)^5")
     with pytest.raises(BudgetExhausted):
-        divide(f, [pp("x - y")], GREVLEX, budget)
+        divide(f, [pp("x - y")], budget)
     assert budget.remaining <= 0
 
 
 def test_basis_reduce_matches_normal_form():
-    gb = buchberger([pp("x^2 + y"), pp("x*y - 1")], GREVLEX)
+    gb = buchberger([pp("x^2 + y"), pp("x*y - 1")])
     f = pp("x^3*y + y^3 - x")
-    assert gb.reduce(f) == normal_form(f, list(gb), GREVLEX)
+    assert gb.reduce(f) == normal_form(f, list(gb))
 
 
 # -- step counts ------------------------------------------------------------
@@ -268,28 +265,41 @@ def _rescaled(polys, scales):
 CYCLIC5_SCALES = (Fraction(2), Fraction(-1, 3), Fraction(3, 2), Fraction(-2, 5), Fraction(5, 7))
 
 
+# order is the variable order the polys are relabelled to
 @pytest.mark.parametrize("polys,order,steps,size", [
-    (_cyclic(5), GREVLEX, 304, 20),
+    (_cyclic(5), tuple(range(5)), 304, 20),
     # relabelling moves the steps, not the size of the basis
-    ([relabel(p, (4, 2, 0, 1, 3)) for p in _cyclic(5)], GREVLEX, 500, 20),
-    (_katsura(3), GREVLEX, 41, 7),
-    (_katsura(5), GREVLEX, 477, 22),
+    (_cyclic(5), (4, 2, 0, 1, 3), 500, 20),
+    (_katsura(3), tuple(range(4)), 41, 7),
+    (_katsura(5), tuple(range(6)), 477, 22),
     # rescaling changes every coefficient and no step
-    (_rescaled(_cyclic(5), CYCLIC5_SCALES), GREVLEX, 304, 20),
+    (_rescaled(_cyclic(5), CYCLIC5_SCALES), tuple(range(5)), 304, 20),
 ])
 def test_buchberger_step_counts(polys, order, steps, size):
     budget = StepBudget(DEFAULT_BUDGET)
-    gb = buchberger(polys, order, budget)
+    gb = buchberger([relabel(p, order) for p in polys], budget=budget)
     assert (budget.used, len(gb)) == (steps, size)
+
+
+def test_buchberger_takes_grevlex_as_its_second_argument():
+    # callers that pass the order positionally before the budget get the
+    # same basis and steps; any other order is refused
+    polys = _katsura(3)
+    budget, named = StepBudget(), StepBudget()
+    assert buchberger(polys, GREVLEX, budget).generators == \
+        buchberger(polys, budget=named).generators
+    assert budget.used == named.used == 41
+    for other in ("lex", None, StepBudget()):
+        with pytest.raises(ValueError, match="order"):
+            buchberger(polys, other)
 
 
 def test_rescaled_basis_is_the_rescaled_basis():
     # x_i -> s_i * x_i maps the reduced basis of cyclic-5 onto the
     # reduced basis of the rescaled ideal, up to the leading coefficients
     polys = _cyclic(5)
-    scaled = buchberger(_rescaled(polys, CYCLIC5_SCALES), GREVLEX)
-    expected = [GREVLEX.monic(g) for g in
-                _rescaled(buchberger(polys, GREVLEX).generators, CYCLIC5_SCALES)]
+    scaled = buchberger(_rescaled(polys, CYCLIC5_SCALES))
+    expected = [monic(g) for g in _rescaled(buchberger(polys).generators, CYCLIC5_SCALES)]
     assert list(scaled) == expected
 
 
@@ -324,14 +334,15 @@ def test_basis_depends_only_on_the_ideal(gens, rng, perm):
             assert list(map(str, got)) == list(map(str, reference))
 
 
+# order is the variable order the polys are relabelled to
 @pytest.mark.parametrize("polys,order", [
-    (_cyclic(5), GREVLEX),
-    (_katsura(3), GREVLEX),
-    ([relabel(p, (4, 2, 0, 1, 3)) for p in _cyclic(5)], GREVLEX),
+    (_cyclic(5), tuple(range(5))),
+    (_katsura(3), tuple(range(4))),
+    (_cyclic(5), (4, 2, 0, 1, 3)),
 ])
 def test_basis_as_its_own_input_comes_back_unchanged(polys, order):
-    gb = buchberger(polys, order)
-    again = buchberger(gb.generators, order)
+    gb = buchberger([relabel(p, order) for p in polys])
+    again = buchberger(gb.generators)
     assert again.generators == gb.generators
     assert list(map(str, again)) == list(map(str, gb))
 
@@ -340,25 +351,25 @@ def test_budget_one_step_short_runs_out_in_the_signature_loop(monkeypatch):
     entered = []
     interreduce = groebner._interreduce
 
-    def spy(basis, order, budget):
+    def spy(basis, budget):
         entered.append(budget.used)
-        return interreduce(basis, order, budget)
+        return interreduce(basis, budget)
 
     monkeypatch.setattr(groebner, "_interreduce", spy)
     polys = _katsura(3)
     budget = StepBudget()
-    gb = buchberger(polys, GREVLEX, budget)
+    gb = buchberger(polys, budget=budget)
     # the steps of the signature loop, before the basis is interreduced
     [loop] = entered
     assert 0 < loop <= budget.used
     entered.clear()
     with pytest.raises(BudgetExhausted) as raised:
-        buchberger(polys, GREVLEX, StepBudget(loop - 1))
+        buchberger(polys, budget=StepBudget(loop - 1))
     assert entered == []
     names = [entry.name for entry in raised.traceback]
     assert names[-2:] == ["_divide", "spend"] and "buchberger" in names
     # the whole run fits in exactly its own count
-    assert buchberger(polys, GREVLEX, StepBudget(budget.used)).generators == gb.generators
+    assert buchberger(polys, budget=StepBudget(budget.used)).generators == gb.generators
 
 
 def test_an_s_polynomial_costs_one_step():
@@ -366,25 +377,27 @@ def test_an_s_polynomial_costs_one_step():
     # no elimination, and the criteria drop both pairs that it makes
     gens = [pp("x^2 - y"), pp("x*y - 1")]
     budget = StepBudget()
-    assert len(buchberger(gens, GREVLEX, budget)) == 3 and budget.used == 1
+    assert len(buchberger(gens, budget=budget)) == 3 and budget.used == 1
     with pytest.raises(BudgetExhausted):
-        buchberger(gens, GREVLEX, StepBudget(0))
+        buchberger(gens, budget=StepBudget(0))
 
 
 # Each found among random systems: here a remainder's lead is divided
 # only by a divisor of equal shifted signature.  Dropping that remainder,
 # as F5's singular criterion does, loses pairs under the add order, and
-# the bases returned were not Groebner bases.
+# the bases returned were not Groebner bases.  Each system also runs
+# under the variable order `order` (`relabellings`).
 @pytest.mark.parametrize("names,gens,order,order_name", [
-    ("x y z", ["-1/2*x*y^2 + y^2*z + 2", "-2/3*x^2*z + x^2", "-x^3 - 2"], GREVLEX, "grevlex"),
+    ("x y z", ["-1/2*x*y^2 + y^2*z + 2", "-2/3*x^2*z + x^2", "-x^3 - 2"], (2, 1, 0), "grevlex"),
     ("w x y z", ["5/2*x^2*z - 3*z^2", "2/3*w*x*z + 2*w*y", "2*w^2*y + w*x*y - 3*x*y^2 - 1/2",
-                 "-4*w^3*y^2*z - 2*w^2*x*y^2*z + 6*w*x*y^3*z + w*y*z"], GREVLEX, "grevlex"),
+                 "-4*w^3*y^2*z - 2*w^2*x*y^2*z + 6*w*x*y^3*z + w*y*z"], (3, 2, 1, 0), "grevlex"),
 ])
 def test_singular_remainders_are_kept(names, gens, order, order_name):
     ctx = context(*names.split())
-    polys = [pp(s, ctx) for s in gens]
-    assert ({to_sympy(g) for g in buchberger(polys, order)}
-            == sympy_reduced_gb(polys, order_name, names))
+    for labels in relabellings(order):
+        polys = [relabel(pp(s, ctx), labels) for s in gens]
+        assert ({to_sympy(g) for g in buchberger(polys)}
+                == sympy_reduced_gb(polys, order_name, names))
 
 
 def _dense_quadrics(rng, nvars=4):
@@ -408,7 +421,7 @@ def test_no_regular_reduction_returns_zero_on_regular_sequences(polys, monkeypat
         return done
 
     monkeypatch.setattr(groebner, "_divide", spy)
-    gb = buchberger(polys, GREVLEX)
+    gb = buchberger(polys)
     assert len(gb) > len(polys) and zero and not any(zero)
 
 
@@ -453,7 +466,7 @@ def test_normal_form_matches_sympy(gen_terms, f, perm):
         basis = buchberger([relabel(Polynomial(XYZ, t), labels) for t in gen_terms])
         budget = StepBudget(DEFAULT_BUDGET)
         try:
-            ours = normal_form(g, basis.generators, GREVLEX, budget)
+            ours = normal_form(g, basis.generators, budget)
         except BudgetExhausted:
             assert not low(g)
             continue
@@ -486,10 +499,10 @@ def assert_division_matches_sympy(f, divisors):
     # sympy.reduced runs the same division (leading term first, first
     # divisible divisor wins), so quotients and remainder must agree.
     budget = StepBudget(DEFAULT_BUDGET)
-    qs, r = divide(f, divisors, GREVLEX, budget)
+    qs, r = divide(f, divisors, budget)
     ctx = f.ctx
     assert sum((q * g for q, g in zip(qs, divisors)), ctx.zero()) + r == f
-    lead = [GREVLEX.leading_monomial(g) for g in divisors]
+    lead = [leading_monomial(g) for g in divisors]
     assert not any(mono_divides(lm, m) for m in r.terms for lm in lead)
     for p in qs + [r]:
         assert all(type(c) is Fraction and c for c in p.terms.values())
@@ -542,8 +555,8 @@ def test_packed_divisor_cache_follows_order_and_width():
 def test_spoly_matches_fraction_formula(f0, g0, perm):
     for labels in relabellings(perm):
         f, g = relabel(f0, labels), relabel(g0, labels)
-        mf, cf = GREVLEX.leading_term(f)
-        mg, cg = GREVLEX.leading_term(g)
+        mf, mg = leading_monomial(f), leading_monomial(g)
+        cf, cg = f.terms[mf], g.terms[mg]
         lcm = mono_lcm(mf, mg)
         uf = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mf)): 1 / cf})
         ug = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mg)): 1 / cg})
@@ -587,8 +600,8 @@ def assert_record_exact(p):
 
 
 def assert_monic_from_record(p):
-    m = GREVLEX.monic(p)
-    assert m == p / GREVLEX.leading_coefficient(p)
+    m = monic(p)
+    assert m == p / p.terms[leading_monomial(p)]
     assert all(type(c) is Fraction for c in m.terms.values())
     assert_record_exact(m)
     if p._packed is not None:
@@ -644,13 +657,13 @@ def assert_same_as_its_terms(p):
     """p, returned known by its record, answers like the polynomial of
     its terms; what the record answers is read before the terms exist."""
     assert p._packed is not None and not has_terms(p)
-    got = (p.total_degree(), p.is_zero(), bool(p), GREVLEX.leading_monomial(p))
+    got = (p.total_degree(), p.is_zero(), bool(p), leading_monomial(p))
     assert not has_terms(p)
     q = Polynomial(p.ctx, dict(p.terms))
     # once built, the terms are a plain slot of a plain Polynomial
     assert has_terms(p) and type(p) is Polynomial
     assert p == q and hash(p) == hash(q) and str(p) == str(q)
-    assert got == (q.total_degree(), q.is_zero(), bool(q), GREVLEX.leading_monomial(q))
+    assert got == (q.total_degree(), q.is_zero(), bool(q), leading_monomial(q))
 
 
 @NF_PROPERTY
@@ -663,15 +676,15 @@ def test_record_backed_results_are_their_terms(f0, divisors0, perm):
         divisors = [relabel(g, labels) for g in divisors0]
         g = divisors[0]
         s = spoly(f, g)
-        mf, cf = GREVLEX.leading_term(f)
-        mg, cg = GREVLEX.leading_term(g)
+        mf, mg = leading_monomial(f), leading_monomial(g)
+        cf, cg = f.terms[mf], g.terms[mg]
         lcm = mono_lcm(mf, mg)
         uf = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mf)): 1 / cf})
         ug = Polynomial(XYZ, {tuple(a - b for a, b in zip(lcm, mg)): 1 / cg})
         qs, r = divide(f, divisors)
         bare = divide(f, divisors, quotients=False)[1]
         made = [p for p in (s, r, bare) if not p.is_zero()]
-        monics = [GREVLEX.monic(p) for p in made]
+        monics = [monic(p) for p in made]
         for p in made + monics:
             # a remainder no lead divides a term of is f itself, with no record
             if p._packed is not None:
@@ -680,8 +693,8 @@ def test_record_backed_results_are_their_terms(f0, divisors0, perm):
         assert sum((q * d for q, d in zip(qs, divisors)), XYZ.zero()) + r == f
         assert bare == r
         for p, m in zip(made, monics):
-            assert m == p / GREVLEX.leading_coefficient(p)
-            assert m.terms[GREVLEX.leading_monomial(m)] == 1
+            assert m == p / p.terms[leading_monomial(p)]
+            assert m.terms[leading_monomial(m)] == 1
 
 
 def test_returned_basis_has_terms_and_no_record():

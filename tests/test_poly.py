@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlie.groebner import GREVLEX, spoly
+from nlie.groebner import spoly
 from nlie.poly import ContextMismatch, Polynomial, VarContext, _cleared, context
 from nlie.brackets import random_polynomial
 
@@ -294,7 +294,7 @@ def test_record_backed_polynomial_pickles_its_terms():
     # the copy keeps no record
     ctx = context("x", "y", "z")
     x, y, z = ctx.gens()
-    s = spoly(x * x * y - Fraction(1, 3) * z, 2 * x * y * y + y, GREVLEX)
+    s = spoly(x * x * y - Fraction(1, 3) * z, 2 * x * y * y + y)
     assert s._packed is not None
     for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
         assert back._packed is None and back == s and str(back) == str(s)
